@@ -149,11 +149,9 @@ Measurement measure(const Graph& g, VertexId source, const SsspOptions& options,
       // the remaining trials injection-free (once per measurement) instead
       // of failing the row. The solver itself is fine either way — a
       // cancelled run unwound cooperatively and the team is idle again.
-      if (!m.chaos_retried && (opts.chaos != nullptr ||
-                               opts.wasp.chaos != nullptr)) {
+      if (!m.chaos_retried && opts.chaos != nullptr) {
         m.chaos_retried = true;
         opts.chaos = nullptr;
-        opts.wasp.chaos = nullptr;
         --t;  // the tripped trial does not count
         continue;
       }

@@ -314,7 +314,6 @@ int main(int argc, char** argv) {
           chaos_seed(seed), parse_policy(chaos_name), threads,
           /*record=*/false);
       cc.solver.chaos = engine.get();
-      cc.solver.wasp.chaos = engine.get();
     }
     cancel.budget_ms = std::max(median_solve_s * 0.35 * 1e3, 0.05);
     cancel.queries = 24;

@@ -10,7 +10,7 @@
 //
 // The capacity is a compile-time template parameter; the paper uses 64 and
 // reports Wasp is insensitive to the choice (§5.1) — the sensitivity bench
-// verifies that claim with the explicit instantiations in wasp.cpp. `Chunk`
+// verifies that claim with the instantiations of sssp/wasp_core.hpp. `Chunk`
 // is the default 64-vertex configuration.
 //
 // A chunk is only ever accessed by one thread at a time: the owner fills and

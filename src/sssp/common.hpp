@@ -230,9 +230,6 @@ struct WaspConfig {
   /// Solver fills this in once at construction so repeated solve() calls
   /// skip re-detection.
   std::shared_ptr<const NumaTopology> topology;
-  /// Fault-injection engine installed on every worker for this run (tests
-  /// only; null = no injection). Effective only in WASP_CHAOS builds.
-  chaos::Engine* chaos = nullptr;
 
   /// Partitioned execution mode (ROADMAP item 4, docs/NUMA.md): split the
   /// CSR into per-NUMA-node fragments, run the deque protocol inside each

@@ -213,12 +213,10 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   ctx.dist = &dist;
   ctx.prefetch_lookahead = opts.prefetch_lookahead;
   ctx.cancel = cancel;
-  WaspConfig cfg = opts.wasp;
-  if (cfg.chaos == nullptr) cfg.chaos = ctx.chaos;
 
   SsspResult result;
   try {
-    result = wasp_sssp_seeded(g, seeds_, opts.delta, cfg, ctx);
+    result = wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx);
   } catch (...) {
     discard_warm();
     throw;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "graph/algorithms.hpp"
-#include "sssp/sssp.hpp"
-#include "support/timer.hpp"
 
 namespace wasp {
 
@@ -54,18 +52,6 @@ std::vector<VertexId> extract_path(const Graph& g, VertexId source,
   }
   std::reverse(reversed.begin(), reversed.end());
   return reversed;
-}
-
-BatchResult run_sssp_batch(const Graph& g, const std::vector<VertexId>& sources,
-                           const SsspOptions& options) {
-  BatchResult batch;
-  batch.runs.reserve(sources.size());
-  ThreadTeam team(options.threads);
-  Timer timer;
-  for (const VertexId s : sources)
-    batch.runs.push_back(run_sssp(g, s, options, team));
-  batch.total_seconds = timer.seconds();
-  return batch;
 }
 
 double closeness_centrality(const std::vector<Distance>& dist, VertexId v) {

@@ -1,7 +1,7 @@
 // Shortest-path tree utilities layered on top of a distance vector: parent
-// extraction, path queries, and batched multi-source runs (the repeated-SSSP
-// pattern of betweenness/closeness workloads the paper's introduction
-// motivates).
+// extraction, path queries, and the centrality helpers of the repeated-SSSP
+// workloads the paper's introduction motivates (run those through one
+// Solver, sssp/solver.hpp, to amortize the team and the distance array).
 //
 // All functions work from the *distances* alone (plus the graph): any vertex
 // v's parent is an in-neighbour u with dist[u] + w(u,v) == dist[v], which
@@ -27,17 +27,6 @@ std::vector<VertexId> shortest_path_tree(const Graph& g, VertexId source,
 std::vector<VertexId> extract_path(const Graph& g, VertexId source,
                                    VertexId target,
                                    const std::vector<Distance>& dist);
-
-/// Result of a batched run: one distance vector per source.
-struct BatchResult {
-  std::vector<SsspResult> runs;
-  double total_seconds = 0.0;
-};
-
-/// Runs SSSP from every vertex in `sources`, reusing one thread team across
-/// runs (thread creation amortized, as in the benchmark harness).
-BatchResult run_sssp_batch(const Graph& g, const std::vector<VertexId>& sources,
-                           const SsspOptions& options);
 
 /// Closeness centrality of `v` given its SSSP distances:
 /// (reached - 1) / sum of distances; 0 when nothing is reached.

@@ -123,13 +123,11 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
     case Algorithm::kSmqDijkstra:
       return smq_dijkstra(g, source, options.smq.steal_batch, options.seed,
                           ctx);
-    case Algorithm::kWasp: {
-      WaspConfig cfg = options.wasp;
-      if (cfg.chaos == nullptr) cfg.chaos = ctx.chaos;
-      if (cfg.partition.enabled)
-        return wasp_sssp_partitioned(g, source, options.delta, cfg, ctx);
-      return wasp_sssp(g, source, options.delta, cfg, ctx);
-    }
+    case Algorithm::kWasp:
+      if (options.wasp.partition.enabled)
+        return wasp_sssp_partitioned(g, source, options.delta, options.wasp,
+                                     ctx);
+      return wasp_sssp(g, source, options.delta, options.wasp, ctx);
     case Algorithm::kObim:
       return obim_sssp(g, source, options.delta, options.obim.chunk_size, ctx);
   }

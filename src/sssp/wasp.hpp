@@ -26,6 +26,13 @@
 // `curr` values (§4.3). We close the classic steal/terminate race with an
 // intermediate kStealingPriority state: a thief is never INF while it holds
 // a freshly stolen chunk, so "all threads INF" really means no work exists.
+//
+// The three entry points below run one worker core (sssp/wasp_core.hpp:
+// frontier, steal sweep, double scan, chunk-capacity dispatch). The flat
+// engine (wasp.cpp; a cold solve is a seeded run with one seed at distance
+// 0) adds the bidirectional pull on the global CSR and exits on a passing
+// scan; the partitioned engine (wasp_partitioned.cpp) adds fragment rows,
+// remote sends and drains, and a vote barrier on top of the scan.
 #pragma once
 
 #include <span>
@@ -37,9 +44,9 @@
 namespace wasp {
 
 /// Runs Wasp with bucket width `delta` and the given configuration. The
-/// chaos engine installed on workers is config.chaos, falling back to
-/// ctx.chaos. Knobs must satisfy SsspOptions::validate() (delta >= 1,
-/// chunk_capacity in {16,32,64,128,256}).
+/// chaos engine installed on workers is ctx.chaos. Knobs must satisfy
+/// SsspOptions::validate() (delta >= 1, chunk_capacity in
+/// {16,32,64,128,256}).
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx);
 
@@ -62,7 +69,7 @@ SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
                             RunContext& ctx);
 
-/// Partitioned execution mode (ROADMAP item 4, docs/NUMA.md): the CSR is
+/// Partitioned execution mode (docs/NUMA.md): the CSR is
 /// split into per-NUMA-node fragments (graph/partition.hpp), each with its
 /// own distance shard and fragment-local deque protocol; boundary
 /// relaxations cross fragments only through batched remote queues

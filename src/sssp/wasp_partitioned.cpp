@@ -1,53 +1,51 @@
-// Partitioned Wasp (ROADMAP item 4, docs/NUMA.md): fragment-local frontiers
-// with batched remote relaxation queues.
+// Partitioned Wasp (docs/NUMA.md): fragment-local frontiers with batched
+// remote relaxation queues.
 //
 // The graph is split into per-NUMA-node fragments (graph/partition.hpp).
-// Inside a fragment, today's asynchronous deque protocol runs unchanged:
-// thread-local buckets, a stealable current-bucket deque, `curr` publication,
-// NUMA-tiered stealing — except victims are restricted to the fragment's own
-// workers, so steal CAS traffic never crosses a node boundary. Each fragment
-// owns a private distance shard (first-touched by its leader); a relaxation
-// whose target lives in another fragment becomes a {vertex, dist} record in a
-// batched remote queue (concurrent/remote_queue.hpp) instead of a CAS on a
-// remote cache line. Batches are published when full and at bucket
-// boundaries; destination workers drain their fragment's channel at round
-// boundaries and inside termination sweeps.
-//
-// Termination extends the §4.3 double-scan with a quiescence barrier: a
-// passing scan (every board slot idle, zero in-flight records, stable
-// epoch) casts a revocable VOTE instead of exiting, and workers leave
-// together once all p votes are in. Flat wasp tolerates a worker exiting on
-// a stale verdict — the remaining workers finish the work and the team join
-// covers completion — but a partitioned worker's early exit would strand
-// its fragment's inbound channel (no other member drains it), hanging the
-// survivors. The barrier makes that impossible: a sweep revokes its vote
-// first, so a voted worker provably holds no work, and a published batch
-// keeps its publisher unvoted until every record is applied — a full vote
-// count is therefore true global quiescence (argument at terminate()).
+// Inside a fragment, the flat engine's worker runs unchanged — it is the
+// same code, core::WorkerCore in wasp_core.hpp: thread-local buckets, a
+// stealable current-bucket deque, `curr` publication, NUMA-tiered stealing
+// with the §4.2 policies — except victims are restricted to the fragment's
+// own workers, so steal CAS traffic never crosses a node boundary. What this
+// file adds is only what differs:
+//  * the relaxation: each fragment owns a private distance shard
+//    (first-touched by its leader); a relaxation whose target lives in
+//    another fragment becomes a {vertex, dist} record in a batched remote
+//    queue (concurrent/remote_queue.hpp) instead of a CAS on a remote cache
+//    line. Bidirectional relaxation is disabled (it would read remote
+//    shards); leaf pruning and neighborhood decomposition apply unchanged;
+//  * the run loop's flush and drain steps: batches are published when full
+//    and at bucket boundaries; destination workers drain their fragment's
+//    channel at round boundaries and inside termination sweeps;
+//  * the exit rule. Termination extends the §4.3 double scan with a
+//    quiescence barrier: a passing scan (every board slot idle, zero
+//    in-flight records, stable epoch) casts a revocable VOTE instead of
+//    exiting, and workers leave together once all p votes are in. Flat wasp
+//    tolerates a worker exiting on a stale verdict — the remaining workers
+//    finish the work and the team join covers completion — but a
+//    partitioned worker's early exit would strand its fragment's inbound
+//    channel (no other member drains it), hanging the survivors. The
+//    barrier makes that impossible: a sweep revokes its vote first, so a
+//    voted worker provably holds no work, and a published batch keeps its
+//    publisher unvoted until every record is applied — a full vote count is
+//    therefore true global quiescence (argument at terminate()).
 //
 // The fixed point is the same exact-distance solution as flat wasp_sssp
 // (monotone relaxation converges regardless of routing); the partition suite
 // pins bit-identical snapshots across synthetic topologies and chaos
-// schedules. Bidirectional relaxation is disabled (it would read remote
-// shards); leaf pruning and neighborhood decomposition apply unchanged.
+// schedules.
 #include "sssp/wasp.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "concurrent/chase_lev_deque.hpp"
-#include "concurrent/chunk.hpp"
 #include "concurrent/remote_queue.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/partition.hpp"
-#include "sssp/curr_board.hpp"
-#include "support/errors.hpp"
+#include "sssp/wasp_core.hpp"
 #include "support/prefetch.hpp"
-#include "support/random.hpp"
 #include "support/thread_team.hpp"
 #include "support/timer.hpp"
 #include "verify/checked_atomic.hpp"
@@ -60,56 +58,12 @@ namespace {
 using CId = obs::CounterId;
 using EK = obs::EventKind;
 
-/// Same role as in wasp.cpp: a thief holding freshly stolen or freshly
-/// drained remote work is never board-idle.
-constexpr std::uint64_t kStealingPriority = kInfPriority - 1;
-
-/// Sentinel neighbour range meaning "the whole adjacency list".
-constexpr std::uint32_t kFullRange = ~std::uint32_t{0};
-
-/// Thread-local bucket list (identical to wasp.cpp's; the partitioned worker
-/// is a separate instantiation so the flat engine's internals stay private).
+/// Run-wide shared state. The core's curr board, steal epoch and deques are
+/// global (termination is a whole-run property), as are the relay network
+/// and the vote count; victim tiers and distance shards are per fragment.
 template <typename ChunkT>
-struct BucketList {
-  std::vector<ChunkT*> head;
-  std::uint64_t min_hint = kInfPriority;
-
-  ChunkT*& at(std::uint64_t level) {
-    if (level >= head.size()) {
-      const std::size_t cap = std::max<std::size_t>(
-          64, std::bit_ceil(static_cast<std::size_t>(level) + 1));
-      head.resize(cap, nullptr);
-    }
-    return head[level];
-  }
-
-  std::uint64_t min_non_empty() {
-    for (std::uint64_t l = min_hint; l < head.size(); ++l) {
-      if (head[l] != nullptr) {
-        min_hint = l;
-        return l;
-      }
-    }
-    min_hint = kInfPriority;
-    return kInfPriority;
-  }
-};
-
-/// Run-wide shared state. The curr board, steal epoch, and relay network are
-/// global (termination is a whole-run property); deques, victim tiers, and
-/// distance shards are per-fragment.
-template <typename ChunkT>
-struct PartShared {
-  const Graph& graph;
+struct PartShared : core::Shared<ChunkT> {
   const GraphPartition& part;
-  Weight delta;
-  const WaspConfig& config;
-  RunContext& ctx;
-  const std::vector<std::uint8_t>* leaf;  // null when leaf pruning is off
-  int num_workers;
-  CurrBoard curr;  ///< one global board over all workers of all fragments
-  std::vector<std::unique_ptr<ChaseLevDeque<ChunkT*>>> deques;  // per worker
-  BasicChunkArena<ChunkT> arena;
   RemoteRelayNetwork net;  ///< per-fragment inbound channels + in-flight count
   /// Per-fragment distance shards, constructed by each fragment's leader in
   /// the placement phase (the constructor's sweep is the first touch).
@@ -117,45 +71,31 @@ struct PartShared {
   std::vector<int> frag_of;                ///< worker -> fragment
   std::vector<std::vector<int>> members;   ///< fragment -> worker tids
   std::vector<int> local_idx;              ///< worker -> index in its members
-  std::vector<int> node_of;                ///< worker -> NUMA node
   /// Victim tiers per fragment, over that fragment's members only (indices
-  /// are member-local; translate through `members`).
+  /// are member-local; the core translates through `members`).
   std::vector<std::unique_ptr<VictimTiers>> frag_tiers;
-  /// Same role as WaspShared::steal_epoch: bumped before any termination-mode
-  /// sweep (steal or remote drain) can move work behind a scan.
-  verify::atomic<std::uint64_t> steal_epoch{0};
   /// Quiescence barrier (terminate()): the number of workers whose latest
   /// scan passed and who have not swept since. Exit requires quiesced == p.
   verify::atomic<std::uint32_t> quiesced{0};
 
   PartShared(const Graph& g, const GraphPartition& part_, Weight delta_,
              const WaspConfig& cfg, RunContext& ctx_,
-             const std::vector<std::uint8_t>* leaf_, int p)
-      : graph(g), part(part_), delta(delta_), config(cfg), ctx(ctx_),
-        leaf(leaf_), num_workers(p), curr(p),
-        deques(static_cast<std::size_t>(p)), net(part_.num_fragments()),
-        shards(static_cast<std::size_t>(part_.num_fragments())) {
-    for (auto& d : deques) d = std::make_unique<ChaseLevDeque<ChunkT*>>();
-  }
+             const core::Placement& place)
+      : core::Shared<ChunkT>(g, cfg, ctx_, delta_, place.node_of), part(part_),
+        net(part_.num_fragments()),
+        shards(static_cast<std::size_t>(part_.num_fragments())) {}
 };
 
-/// Per-thread worker: Algorithms 1 and 2 scoped to one fragment, plus the
-/// remote send/drain obligations.
+/// Per-thread worker: the core scoped to one fragment, plus the remote
+/// send/drain obligations.
 template <typename ChunkT>
-class PartWorker {
+class PartWorker : public core::WorkerCore<PartWorker<ChunkT>, ChunkT> {
+  using Core = core::WorkerCore<PartWorker<ChunkT>, ChunkT>;
+  friend Core;
+
  public:
   PartWorker(PartShared<ChunkT>& shared, int tid)
-      : s_(shared), tid_(tid),
-        frag_(shared.frag_of[static_cast<std::size_t>(tid)]),
-        fragment_(shared.part.fragment(frag_)),
-        dist_(*shared.shards[static_cast<std::size_t>(frag_)]),
-        pool_(shared.arena), my_(shared.ctx.metrics.shard(tid)),
-        rng_(hash_mix(0xA5B5ULL + static_cast<std::uint64_t>(tid))),
-        deque_(shared.deques[static_cast<std::size_t>(tid)].get()),
-        sender_(shared.net, shared.config.partition.flush_threshold),
-        lookahead_(shared.ctx.prefetch_lookahead) {
-    buffer_ = alloc_chunk();
-  }
+      : PartWorker(shared, tid, shared.frag_of[static_cast<std::size_t>(tid)]) {}
 
   /// Seeds the source into this worker's current bucket. Called on one
   /// worker of the source's fragment before run(); the driver pre-published
@@ -167,9 +107,8 @@ class PartWorker {
   /// relax path is monotone and this worker schedules the source itself).
   void seed(VertexId source) {
     dist_.store(source - fragment_.begin, 0);
-    buffer_->set_priority(0);
-    buffer_->push(source);
-    publish_curr(0);
+    frontier_.publish(0);
+    frontier_.push(source, 0);
   }
 
   /// The main work loop: flat wasp's Algorithm 1 plus outbound flushes and
@@ -180,10 +119,10 @@ class PartWorker {
       // published-but-undrained inbound batches (freed by the network's
       // teardown); publishing kInfPriority lets peers reach all-idle.
       if (s_.ctx.stop_requested()) {
-        publish_curr(kInfPriority);
+        frontier_.publish(kInfPriority);
         return;
       }
-      drain_current_bucket();
+      this->drain_current_bucket();
       // Bucket boundary: publish open outbound batches so neighbour
       // fragments see our boundary relaxations, then pick up theirs.
       flush_outbound();
@@ -194,21 +133,18 @@ class PartWorker {
       // kStealingPriority and an epoch bump.
       //
       // When the drain schedules anything, restart the iteration: a record
-      // whose level equals curr_cache_ lands in buffer_, which
-      // min_non_empty() below cannot see — falling through could reach
+      // whose level equals the current level lands in the buffer chunk,
+      // which next_level() below cannot see — falling through could reach
       // terminate() holding live work whose in-flight accounting is already
       // settled, and the quiescence barrier would (soundly, by its own
       // lights) let every worker exit with the re-expansion lost.
-      if (curr_cache_ != kInfPriority && drain_inbound() > 0) continue;
+      if (frontier_.level() != kInfPriority && drain_inbound() > 0) continue;
 
-      const std::uint64_t next = buckets_.min_non_empty();
-      if (try_steal_and_process(next)) continue;
+      const std::uint64_t next = frontier_.next_level();
+      if (steal_and_process(next)) continue;
 
       if (next != kInfPriority) {
-        my_.inc(CId::kBucketAdvances);
-        obs::trace_instant(s_.ctx.trace, tid_, EK::kBucketAdvance, next);
-        publish_curr(next);
-        pour_bucket(next);
+        this->advance_bucket(next);
         continue;
       }
       if (terminate()) return;
@@ -216,115 +152,35 @@ class PartWorker {
   }
 
  private:
-  ChunkT* alloc_chunk() {
-    my_.inc(CId::kChunkAllocs);
-    obs::trace_instant(s_.ctx.trace, tid_, EK::kChunkAlloc);
-    return pool_.get();
-  }
+  using Core::frontier_;
+  using Core::lookahead_;
+  using Core::my_;
+  using Core::tid_;
+
+  PartWorker(PartShared<ChunkT>& shared, int tid, int frag)
+      : Core(shared, tid, shared.members[static_cast<std::size_t>(frag)],
+             *shared.frag_tiers[static_cast<std::size_t>(frag)],
+             shared.local_idx[static_cast<std::size_t>(tid)]),
+        s_(shared), frag_(frag), fragment_(shared.part.fragment(frag)),
+        dist_(*shared.shards[static_cast<std::size_t>(frag)]),
+        sender_(shared.net, shared.config.partition.flush_threshold),
+        lone_(shared.members[static_cast<std::size_t>(frag)].size() <= 1) {}
 
   // --- fragment-local distance shard --------------------------------------
   // All shard accesses translate the GLOBAL vertex id to the fragment-local
   // index; chunks, queues, and the leaf bitmap speak global ids throughout.
 
-  [[nodiscard]] Distance shard_load(VertexId global_v) const {
+  [[nodiscard]] Distance load_dist(VertexId global_v) const {
     return dist_.load(global_v - fragment_.begin);
   }
   bool shard_relax(VertexId global_v, Distance candidate) {
     return dist_.relax_to(global_v - fragment_.begin, candidate);
   }
 
-  // --- current bucket ----------------------------------------------------
-
-  void publish_curr(std::uint64_t level) {
-    curr_cache_ = level;
-    // Chaos: widen the decide->publish window kStealingPriority protects.
-    WASP_CHAOS_YIELD(chaos::Point::kDelayCurrPublish);
-    s_.curr.publish(tid_, level);  // release (curr_board.hpp)
-  }
-
-  bool pop_current(VertexId& u, std::uint64_t& prio, std::uint32_t& begin,
-                   std::uint32_t& end) {
-    if (buffer_->empty()) {
-      ChunkT* refill = deque_->pop_bottom();
-      if (refill == nullptr) return false;
-      pool_.put(buffer_);
-      buffer_ = refill;
-    }
-    prio = buffer_->priority();
-    if (buffer_->is_range()) {
-      begin = buffer_->range_begin();
-      end = buffer_->range_end();
-      u = buffer_->pop();
-      buffer_->reset();  // range chunks hold exactly one vertex
-    } else {
-      begin = 0;
-      end = kFullRange;
-      u = buffer_->pop();
-      // Chunk-drain lookahead against the fragment-local arrays.
-      if (lookahead_ != 0 && !buffer_->empty()) {
-        const VertexId ahead =
-            buffer_->peek(std::min(lookahead_ - 1, buffer_->size() - 1));
-        prefetch_read(dist_.prefetch_addr(ahead - fragment_.begin));
-        prefetch_read(fragment_.offsets.data() + (ahead - fragment_.begin));
-        my_.inc(CId::kPrefetchIssued, 2);
-      }
-    }
-    return true;
-  }
-
-  void drain_current_bucket() {
-    VertexId u;
-    std::uint64_t prio;
-    std::uint32_t begin, end;
-    while (pop_current(u, prio, begin, end)) {
-      // Cancellation point (one relaxed load per pop), as in flat wasp.
-      if (s_.ctx.stop_requested()) return;
-      if (is_stale(u, prio)) {
-        my_.inc(CId::kStaleSkips);
-        continue;
-      }
-      process_neighborhood(u, prio, begin, end);
-    }
-  }
-
-  [[nodiscard]] bool is_stale(VertexId u, std::uint64_t prio) const {
-    return static_cast<std::uint64_t>(shard_load(u)) <
-           prio * static_cast<std::uint64_t>(s_.delta);
-  }
-
-  // --- pushing updates ---------------------------------------------------
-
-  void push_to_buckets(VertexId v, std::uint64_t level) {
-    if (level == curr_cache_) {
-      if (buffer_->full()) {
-        deque_->push_bottom(buffer_);
-        buffer_ = alloc_chunk();
-      }
-      if (buffer_->empty()) buffer_->set_priority(level);
-      buffer_->push(v);
-      return;
-    }
-    ChunkT*& head = buckets_.at(level);
-    if (head == nullptr || head->full()) {
-      ChunkT* fresh = alloc_chunk();
-      fresh->set_priority(level);
-      fresh->next = head;
-      head = fresh;
-    }
-    head->push(v);
-    buckets_.min_hint = std::min(buckets_.min_hint, level);
-  }
-
-  void push_chunk(ChunkT* c, std::uint64_t level) {
-    c->set_priority(level);
-    if (level == curr_cache_) {
-      deque_->push_bottom(c);
-      return;
-    }
-    ChunkT*& head = buckets_.at(level);
-    c->next = head;
-    head = c;
-    buckets_.min_hint = std::min(buckets_.min_hint, level);
+  /// Chunk-drain lookahead against the fragment-local arrays.
+  void prefetch_vertex(VertexId v) {
+    prefetch_read(dist_.prefetch_addr(v - fragment_.begin));
+    prefetch_read(fragment_.offsets.data() + (v - fragment_.begin));
   }
 
   // --- relaxation --------------------------------------------------------
@@ -332,31 +188,13 @@ class PartWorker {
   void process_neighborhood(VertexId u, std::uint64_t prio, std::uint32_t begin,
                             std::uint32_t end) {
     const std::uint32_t degree = fragment_.out_degree(u);
-    if (end == kFullRange) {
-      end = degree;
-      // Neighborhood decomposition (§4.4) over the fragment-local row.
-      if (s_.config.neighborhood_decomposition && degree > s_.config.theta) {
-        for (std::uint32_t lo = s_.config.theta; lo < degree;
-             lo += s_.config.theta) {
-          ChunkT* slice = alloc_chunk();
-          slice->make_range(u, lo, std::min(lo + s_.config.theta, degree));
-          push_chunk(slice, prio);
-        }
-        end = s_.config.theta;
-      }
-    }
+    // Neighborhood decomposition (§4.4) over the fragment-local row.
+    if (end == core::kFullRange) end = this->split_neighborhood(u, prio, degree);
     // No bidirectional relaxation here: pulling through in-edges would read
     // neighbour distances that may live in remote shards.
 
-    const Distance du = shard_load(u);
-    my_.inc(CId::kVerticesProcessed);
-    ++progress_;
-    if ((progress_ & 0xFFFu) == 0) {
-      if (s_.ctx.observer != nullptr)
-        s_.ctx.observer->on_progress(tid_, progress_);
-      // Deadline poll at the observer cadence, as in flat wasp.
-      (void)s_.ctx.poll_cancel();
-    }
+    const Distance du = load_dist(u);
+    this->count_vertex();
 
     const WEdge* edges = fragment_.edge_data() + fragment_.edge_offset(u);
     for (std::uint32_t j = begin; j < end; ++j) {
@@ -371,9 +209,7 @@ class PartWorker {
       if (fragment_.owns(e.dst)) {
         if (shard_relax(e.dst, nd)) {
           my_.inc(CId::kUpdates);
-          // Leaf pruning (§4.4): update the distance, never schedule.
-          if (s_.leaf != nullptr && (*s_.leaf)[e.dst]) continue;
-          push_to_buckets(e.dst, static_cast<std::uint64_t>(nd) / s_.delta);
+          this->schedule(e.dst, nd);
         }
       } else {
         // Boundary edge: defer to the owner through its remote queue. No
@@ -384,8 +220,7 @@ class PartWorker {
           my_.inc(CId::kRemoteBatches);
       }
     }
-    if (lookahead_ != 0 && end - begin > lookahead_)
-      my_.inc(CId::kPrefetchIssued, end - begin - lookahead_);
+    this->count_prefetches(begin, end);
   }
 
   // --- remote queues ------------------------------------------------------
@@ -422,10 +257,7 @@ class PartWorker {
           const RemoteRelax r = batch->record(i);
           if (shard_relax(r.vertex, r.dist)) {
             my_.inc(CId::kUpdates);
-            if (s_.leaf != nullptr && (*s_.leaf)[r.vertex]) continue;
-            push_to_buckets(r.vertex,
-                            static_cast<std::uint64_t>(r.dist) / s_.delta);
-            ++scheduled;
+            if (this->schedule(r.vertex, r.dist)) ++scheduled;
           } else {
             my_.inc(CId::kStaleSkips);
           }
@@ -442,175 +274,14 @@ class PartWorker {
     return scheduled;
   }
 
-  // --- work stealing (fragment-local) -------------------------------------
-
-  /// As flat wasp's sweep, but victims come only from this fragment's
-  /// members — stealing never crosses a fragment (hence, with aligned
-  /// placement, never a NUMA node).
-  bool try_steal_and_process(std::uint64_t next) {
-    // Deadline poll at sweep entry, as in flat wasp.
+  /// The core's steal sweep over this fragment's members — stealing never
+  /// crosses a fragment (hence, with aligned placement, never a NUMA node).
+  /// A lone member has no victim and skips the sweep and its accounting,
+  /// keeping only the sweep-entry deadline poll.
+  bool steal_and_process(std::uint64_t next) {
+    if (!lone_) return this->try_steal_and_process(next);
     (void)s_.ctx.poll_cancel();
-    const std::vector<int>& members =
-        s_.members[static_cast<std::size_t>(frag_)];
-    if (members.size() <= 1) return false;
-    ChunkT* stolen[64];
-    int count = 0;
-    obs::trace_begin(s_.ctx.trace, tid_, EK::kStealSweep, next);
-    Timer steal_timer;
-    switch (s_.config.steal_policy) {
-      case StealPolicy::kPriorityNuma:
-        count = steal_priority_numa(next, stolen);
-        break;
-      case StealPolicy::kRandom:
-        count = steal_random(stolen);
-        break;
-      case StealPolicy::kTwoChoice:
-        count = steal_two_choice(stolen);
-        break;
-    }
-    const std::uint64_t sweep_ns = steal_timer.nanoseconds();
-    my_.inc(CId::kStealNs, sweep_ns);
-    my_.observe(obs::HistId::kStealSweepNs, sweep_ns);
-    obs::trace_end(s_.ctx.trace, tid_, EK::kStealSweep,
-                   static_cast<std::uint64_t>(count));
-    if (count == 0) return false;
-
-    std::uint64_t best = kInfPriority;
-    for (int i = 0; i < count; ++i)
-      best = std::min(best, stolen[i]->priority());
-    publish_curr(best);
-
-    for (int i = 0; i < count; ++i) {
-      ChunkT* c = stolen[i];
-      const std::uint64_t prio = c->priority();
-      const bool range = c->is_range();
-      const std::uint32_t rb = c->range_begin();
-      const std::uint32_t re = c->range_end();
-      while (!c->empty()) {
-        if (s_.ctx.stop_requested()) {
-          c->reset();
-          break;
-        }
-        const VertexId u = c->pop();
-        if (is_stale(u, prio)) {
-          my_.inc(CId::kStaleSkips);
-          continue;
-        }
-        if (range) {
-          process_neighborhood(u, prio, rb, re);
-        } else {
-          process_neighborhood(u, prio, 0, kFullRange);
-        }
-      }
-      c->reset();
-      pool_.put(c);
-    }
-    return true;
-  }
-
-  /// One successful steal from a fragment member (usually same-node; a
-  /// membership fix-up can place a worker off its fragment's node).
-  void record_steal(int victim) {
-    my_.inc(CId::kSteals);
-    my_.inc(s_.node_of[static_cast<std::size_t>(victim)] ==
-                    s_.node_of[static_cast<std::size_t>(tid_)]
-                ? CId::kLocalSteals
-                : CId::kRemoteSteals);
-  }
-
-  int steal_priority_numa(std::uint64_t next, ChunkT** out) {
-    const std::vector<int>& members =
-        s_.members[static_cast<std::size_t>(frag_)];
-    const VictimTiers& tiers = *s_.frag_tiers[static_cast<std::size_t>(frag_)];
-    const int me = s_.local_idx[static_cast<std::size_t>(tid_)];
-    int count = 0;
-    for (const auto& tier : tiers.tiers(me)) {
-      for (const int lv : tier) {
-        const int t = members[static_cast<std::size_t>(lv)];
-        my_.inc(CId::kStealAttempts);
-        obs::trace_instant(s_.ctx.trace, tid_, EK::kStealAttempt,
-                           static_cast<std::uint64_t>(t));
-        const std::uint64_t victim_curr = s_.curr.probe(t);  // acquire
-        if (victim_curr > next) {
-          notify_steal(t, false);
-          continue;
-        }
-        ChunkT* c = s_.deques[static_cast<std::size_t>(t)]->steal();
-        notify_steal(t, c != nullptr);
-        if (c != nullptr) {
-          record_steal(t);
-          out[count++] = c;
-          if (count == 64) return count;
-        }
-      }
-      if (count > 0) return count;
-    }
-    return count;
-  }
-
-  void notify_steal(int victim, bool success) {
-    if (success)
-      obs::trace_instant(s_.ctx.trace, tid_, EK::kStealSuccess,
-                         static_cast<std::uint64_t>(victim));
-    if (s_.ctx.observer != nullptr)
-      s_.ctx.observer->on_steal(tid_, victim, success);
-  }
-
-  /// Random victim among fragment members (§4.2 ablation, scoped).
-  int steal_random(ChunkT** out) {
-    const std::vector<int>& members =
-        s_.members[static_cast<std::size_t>(frag_)];
-    const int m = static_cast<int>(members.size());
-    const int me = s_.local_idx[static_cast<std::size_t>(tid_)];
-    for (int attempt = 0; attempt <= s_.config.steal_retries; ++attempt) {
-      int lv = static_cast<int>(
-          rng_.next_below(static_cast<std::uint64_t>(m - 1)));
-      if (lv >= me) ++lv;
-      const int t = members[static_cast<std::size_t>(lv)];
-      my_.inc(CId::kStealAttempts);
-      obs::trace_instant(s_.ctx.trace, tid_, EK::kStealAttempt,
-                         static_cast<std::uint64_t>(t));
-      ChunkT* c = s_.deques[static_cast<std::size_t>(t)]->steal();
-      notify_steal(t, c != nullptr);
-      if (c != nullptr) {
-        record_steal(t);
-        out[0] = c;
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  /// Two-choice victim among fragment members (§4.2 ablation, scoped).
-  int steal_two_choice(ChunkT** out) {
-    const std::vector<int>& members =
-        s_.members[static_cast<std::size_t>(frag_)];
-    const int m = static_cast<int>(members.size());
-    const int me = s_.local_idx[static_cast<std::size_t>(tid_)];
-    for (int attempt = 0; attempt <= s_.config.steal_retries; ++attempt) {
-      int a = static_cast<int>(
-          rng_.next_below(static_cast<std::uint64_t>(m - 1)));
-      if (a >= me) ++a;
-      int b = static_cast<int>(
-          rng_.next_below(static_cast<std::uint64_t>(m - 1)));
-      if (b >= me) ++b;
-      const int ta = members[static_cast<std::size_t>(a)];
-      const int tb = members[static_cast<std::size_t>(b)];
-      const std::uint64_t ca = s_.curr.probe(ta);  // acquire (curr_board.hpp)
-      const std::uint64_t cb = s_.curr.probe(tb);  // acquire (curr_board.hpp)
-      const int t = ca <= cb ? ta : tb;
-      my_.inc(CId::kStealAttempts);
-      obs::trace_instant(s_.ctx.trace, tid_, EK::kStealAttempt,
-                         static_cast<std::uint64_t>(t));
-      ChunkT* c = s_.deques[static_cast<std::size_t>(t)]->steal();
-      notify_steal(t, c != nullptr);
-      if (c != nullptr) {
-        record_steal(t);
-        out[0] = c;
-        return 1;
-      }
-    }
-    return 0;
+    return false;
   }
 
   // --- termination (§4.3 double-scan + quiescence barrier) -----------------
@@ -654,19 +325,14 @@ class PartWorker {
   /// real level in run()), so a scanner that reads the true zero cannot
   /// then see a worker still busy with drained records as idle.
   bool terminate() {
-    const int p = s_.num_workers;
+    const auto p = static_cast<std::uint32_t>(s_.ctx.team.size());
     bool sweep = true;  // sweep on entry; afterwards only when work is seen
     bool voted = false;
     obs::trace_begin(s_.ctx.trace, tid_, EK::kTerminationScan);
     for (;;) {
-      // Cancellation point (with deadline check), as in flat wasp. The vote
-      // is not revoked: every worker observes the same sticky stop flag and
-      // exits, so the count is never read again.
-      if (s_.ctx.poll_cancel()) {
-        publish_curr(kInfPriority);
-        obs::trace_end(s_.ctx.trace, tid_, EK::kTerminationScan, 1);
-        return true;
-      }
+      // The vote is not revoked on cancellation: every worker observes the
+      // same sticky stop flag and exits, so the count is never read again.
+      if (this->cancelled_while_idle()) return true;
       if (sweep) {
         if (voted) {
           // Revoke BEFORE stealing or draining: the exit argument needs
@@ -675,12 +341,10 @@ class PartWorker {
           s_.quiesced.fetch_sub(1, std::memory_order_seq_cst);
           voted = false;
         }
-        // acq_rel: orders this sweep's steal/drain between the double-scan's
-        // acquire reads, invalidating any scan it raced with (wasp.cpp has
-        // the base argument; the drain is a new way to move work).
-        s_.steal_epoch.fetch_add(1, std::memory_order_acq_rel);
-        publish_curr(kStealingPriority);
-        if (try_steal_and_process(kInfPriority)) {
+        // The sweep's epoch bump also covers the inbound drain, a way to
+        // move work the flat engine does not have.
+        this->begin_termination_sweep();
+        if (steal_and_process(kInfPriority)) {
           obs::trace_end(s_.ctx.trace, tid_, EK::kTerminationScan, 0);
           return false;
         }
@@ -691,34 +355,23 @@ class PartWorker {
           obs::trace_end(s_.ctx.trace, tid_, EK::kTerminationScan, 0);
           return false;
         }
-        publish_curr(kInfPriority);
+        frontier_.publish(kInfPriority);
       }
 
       my_.inc(CId::kTerminationScans);
       Timer idle_timer;
-      // Acquire epoch reads bracket the scan (§4.3 double-scan).
-      const std::uint64_t epoch_before =
-          s_.steal_epoch.load(std::memory_order_acquire);
       // True in-flight count first — see the function comment for why this
       // read precedes the board scan. seq_cst (remote_queue.hpp).
-      const std::uint64_t in_flight = s_.net.in_flight();
-      bool all_idle = true;
-      bool someone_working = false;
-      for (int t = 0; t < p; ++t) {
-        const std::uint64_t c = s_.curr.scan(t);  // acquire (curr_board.hpp)
-        if (c != kInfPriority) all_idle = false;
-        if (c < kStealingPriority) someone_working = true;
-      }
-      // Acquire: closes the double-scan bracket (see epoch_before).
-      const std::uint64_t epoch_after =
-          s_.steal_epoch.load(std::memory_order_acquire);
+      std::uint64_t in_flight = 0;
+      const auto verdict =
+          this->scan_board([&] { in_flight = s_.net.in_flight(); });
 
-      if (all_idle && in_flight == 0 && epoch_before == epoch_after) {
+      if (verdict.quiet && in_flight == 0) {
         // Chaos: distrust the verdict and force one more sweep (which also
         // exercises the revoke path once this worker has voted).
         if (WASP_CHAOS_FAIL(chaos::Point::kSpuriousWakeup)) {
           sweep = true;
-          record_idle(idle_timer.nanoseconds());
+          this->record_idle(idle_timer.nanoseconds());
           continue;
         }
         if (!voted) {
@@ -727,12 +380,9 @@ class PartWorker {
           voted = true;
         }
         // seq_cst: the barrier. All p voted at this instant => quiescent.
-        if (s_.quiesced.load(std::memory_order_seq_cst) ==
-            static_cast<std::uint32_t>(p)) {
-          record_idle(idle_timer.nanoseconds());
-          obs::trace_end(s_.ctx.trace, tid_, EK::kTerminationScan, 1);
-          if (s_.ctx.observer != nullptr)
-            s_.ctx.observer->on_termination(tid_);
+        if (s_.quiesced.load(std::memory_order_seq_cst) == p) {
+          this->record_idle(idle_timer.nanoseconds());
+          this->terminated();
           return true;
         }
         // Not everyone is done; keep scanning (and draining) as a lame
@@ -742,45 +392,18 @@ class PartWorker {
       // fragment's channel has batches to drain (pending() is advisory —
       // relaxed — but a miss only delays one yield-iteration, and the
       // vote gate above keeps the exit sound regardless).
-      sweep = someone_working || s_.net.pending(frag_);
+      sweep = verdict.someone_working || s_.net.pending(frag_);
       std::this_thread::yield();
-      record_idle(idle_timer.nanoseconds());
-    }
-  }
-
-  void record_idle(std::uint64_t ns) {
-    my_.inc(CId::kIdleNs, ns);
-    my_.observe(obs::HistId::kIdleScanNs, ns);
-  }
-
-  // --- bucket advance ----------------------------------------------------
-
-  void pour_bucket(std::uint64_t level) {
-    ChunkT* c = buckets_.head[level];
-    buckets_.head[level] = nullptr;
-    while (c != nullptr) {
-      ChunkT* next_chunk = c->next;
-      c->next = nullptr;
-      deque_->push_bottom(c);
-      c = next_chunk;
+      this->record_idle(idle_timer.nanoseconds());
     }
   }
 
   PartShared<ChunkT>& s_;
-  const int tid_;
   const int frag_;
   const GraphPartition::Fragment& fragment_;
   AtomicDistances& dist_;  ///< this fragment's shard (local indices)
-  BasicChunkPool<ChunkT> pool_;
-  obs::MetricsShard& my_;
-  Xoshiro256 rng_;
-  ChaseLevDeque<ChunkT*>* deque_;
   RemoteSender sender_;
-  ChunkT* buffer_ = nullptr;
-  BucketList<ChunkT> buckets_;
-  std::uint64_t curr_cache_ = kInfPriority;
-  std::uint64_t progress_ = 0;
-  const std::uint32_t lookahead_;
+  const bool lone_;  ///< the only member of its fragment
 };
 
 template <typename ChunkT>
@@ -789,32 +412,19 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
                                       RunContext& ctx) {
   const int p = ctx.team.size();
   const VertexId n = g.num_vertices();
-
-  std::vector<std::uint8_t> leaf_bitmap;
-  if (config.leaf_pruning) leaf_bitmap = compute_leaf_bitmap(g);
-
-  std::shared_ptr<const NumaTopology> topo = config.topology;
-  if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
-  std::vector<int> cpu_of(static_cast<std::size_t>(p));
-  std::vector<int> node_of(static_cast<std::size_t>(p));
-  for (int t = 0; t < p; ++t) {
-    cpu_of[static_cast<std::size_t>(t)] = ctx.team.cpu_of(t) % topo->num_cpus();
-    node_of[static_cast<std::size_t>(t)] =
-        topo->node_of_cpu(cpu_of[static_cast<std::size_t>(t)]);
-  }
+  const core::Placement place(config, ctx.team);
 
   // Every fragment needs at least one member worker (it alone drains its
   // inbound channel), so the fragment count is capped by the team size.
   const int want = config.partition.num_fragments > 0
                        ? config.partition.num_fragments
-                       : topo->num_nodes();
+                       : place.topo->num_nodes();
   const int f_want = std::clamp(want, 1, p);
-  GraphPartition part =
-      GraphPartition::build(g, *topo, f_want, p > 1 ? &ctx.team : nullptr);
+  GraphPartition part = GraphPartition::build(g, *place.topo, f_want,
+                                              p > 1 ? &ctx.team : nullptr);
   const int f_count = part.num_fragments();
 
-  PartShared<ChunkT> shared(g, part, delta, config, ctx,
-                            config.leaf_pruning ? &leaf_bitmap : nullptr, p);
+  PartShared<ChunkT> shared(g, part, delta, config, ctx, place);
 
   // Worker -> fragment membership: node affinity first (a worker joins the
   // fragment assigned to its NUMA node, folded mod f_count), then a
@@ -823,7 +433,7 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
   shared.frag_of.resize(static_cast<std::size_t>(p));
   shared.members.assign(static_cast<std::size_t>(f_count), {});
   for (int t = 0; t < p; ++t) {
-    const int f = node_of[static_cast<std::size_t>(t)] % f_count;
+    const int f = place.node_of[static_cast<std::size_t>(t)] % f_count;
     shared.frag_of[static_cast<std::size_t>(t)] = f;
     shared.members[static_cast<std::size_t>(f)].push_back(t);
   }
@@ -847,7 +457,6 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
     for (std::size_t i = 0; i < ms.size(); ++i)
       shared.local_idx[static_cast<std::size_t>(ms[i])] = static_cast<int>(i);
   }
-  shared.node_of = node_of;
 
   // Fragment-local victim tiers, over each fragment's member CPUs.
   shared.frag_tiers.resize(static_cast<std::size_t>(f_count));
@@ -856,9 +465,9 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
     std::vector<int> member_cpus;
     member_cpus.reserve(ms.size());
     for (const int t : ms)
-      member_cpus.push_back(cpu_of[static_cast<std::size_t>(t)]);
+      member_cpus.push_back(place.cpu_of[static_cast<std::size_t>(t)]);
     shared.frag_tiers[static_cast<std::size_t>(f)] =
-        std::make_unique<VictimTiers>(*topo, member_cpus);
+        std::make_unique<VictimTiers>(*place.topo, member_cpus);
   }
 
   // Placement phase: each fragment's leader (member 0) constructs its
@@ -884,11 +493,10 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
       shared.members[static_cast<std::size_t>(source_frag)].front();
   shared.curr.publish(seed_worker, 0);
 
-  chaos::Engine* chaos = config.chaos != nullptr ? config.chaos : ctx.chaos;
   Timer timer;
   ctx.team.run([&](int tid) {
     verify::ScopedSchedule schedule_guard(tid);
-    chaos::ScopedInstall chaos_guard(chaos, tid);
+    chaos::ScopedInstall chaos_guard(ctx.chaos, tid);
     PartWorker<ChunkT> worker(shared, tid);
     if (tid == seed_worker) worker.seed(source);
     worker.run();
@@ -910,27 +518,12 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
 
 SsspResult wasp_sssp_partitioned(const Graph& g, VertexId source, Weight delta,
                                  const WaspConfig& config, RunContext& ctx) {
-  switch (config.chunk_capacity) {
-    case 16:
-      return wasp_sssp_partitioned_impl<BasicChunk<16>>(g, source, delta,
-                                                        config, ctx);
-    case 32:
-      return wasp_sssp_partitioned_impl<BasicChunk<32>>(g, source, delta,
-                                                        config, ctx);
-    case 64:
-      return wasp_sssp_partitioned_impl<BasicChunk<64>>(g, source, delta,
-                                                        config, ctx);
-    case 128:
-      return wasp_sssp_partitioned_impl<BasicChunk<128>>(g, source, delta,
-                                                         config, ctx);
-    case 256:
-      return wasp_sssp_partitioned_impl<BasicChunk<256>>(g, source, delta,
-                                                         config, ctx);
-    default:
-      throw InvalidOptionsError(
-          "wasp_sssp_partitioned: chunk_capacity must be one of 16, 32, 64, "
-          "128, 256");
-  }
+  return core::with_chunk_capacity(
+      config.chunk_capacity, "wasp_sssp_partitioned",
+      [&]<typename ChunkT>(std::type_identity<ChunkT>) {
+        return wasp_sssp_partitioned_impl<ChunkT>(g, source, delta, config,
+                                                  ctx);
+      });
 }
 
 }  // namespace wasp

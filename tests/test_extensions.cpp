@@ -11,6 +11,7 @@
 #include "sssp/contracted.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/paths.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/tuning.hpp"
 #include "sssp/validate.hpp"
@@ -88,12 +89,11 @@ TEST(Paths, BatchRunsMatchIndividualRuns) {
   options.algo = Algorithm::kWasp;
   options.threads = 3;
   options.delta = 1;
-  const std::vector<VertexId> sources = {1, 100, 999};
-  const BatchResult batch = run_sssp_batch(g, sources, options);
-  ASSERT_EQ(batch.runs.size(), 3u);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const auto expected = dijkstra(g, sources[i]).dist;
-    EXPECT_EQ(batch.runs[i].dist, expected) << "source " << sources[i];
+  // One Solver (one thread team, one pooled distance array) across the
+  // batch, as repeated-SSSP workloads use it.
+  Solver solver(options);
+  for (const VertexId s : {VertexId{1}, VertexId{100}, VertexId{999}}) {
+    EXPECT_EQ(solver.solve(g, s).dist, dijkstra(g, s).dist) << "source " << s;
   }
 }
 

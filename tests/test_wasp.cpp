@@ -3,16 +3,20 @@
 // stress runs under heavy oversubscription, and instrumentation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
 
+#include "concurrent/chase_lev_deque.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
+#include "sssp/wasp_core.hpp"
 
 namespace wasp {
 namespace {
@@ -233,6 +237,46 @@ TEST(WaspStress, LargeWeightOutlierGrowsBucketsGeometrically) {
   options.threads = 4;
   options.delta = 1;
   expect_correct(f, options, "weight outlier delta=1");
+}
+
+// --- the shared frontier (sssp/wasp_core.hpp) -----------------------------
+
+TEST(WaspFrontier, VertexPushedAfterRangeChunkKeepsItsOwnRange) {
+  // A neighborhood-decomposition range chunk can become the head of a
+  // non-current bucket (a thief relaxing a stolen chunk of another level).
+  // A vertex pushed at that level afterwards must not share the range
+  // chunk: popped together, it would relax the hub's [lo, hi) slice instead
+  // of its own row, and the slice itself would be dropped.
+  using ChunkT = BasicChunk<64>;
+  BasicChunkArena<ChunkT> arena;
+  ChaseLevDeque<ChunkT*> deque;
+  CurrBoard board(1);
+  obs::MetricsRegistry metrics(1);
+  core::Frontier<ChunkT> frontier(arena, deque, board, 0, metrics.shard(0),
+                                  nullptr, 0);
+  constexpr std::uint64_t kLevel = 3;
+  frontier.push(5, kLevel);
+  ChunkT* slice = frontier.alloc();
+  slice->make_range(7, 100, 200);
+  frontier.push_chunk(slice, kLevel);
+  frontier.push(9, kLevel);
+
+  ASSERT_EQ(frontier.next_level(), kLevel);
+  frontier.publish(kLevel);
+  frontier.pour(kLevel);
+  using Popped = std::tuple<VertexId, std::uint32_t, std::uint32_t>;
+  std::vector<Popped> popped;
+  VertexId u;
+  std::uint64_t prio;
+  std::uint32_t begin, end;
+  while (frontier.pop(u, prio, begin, end, [](VertexId) {})) {
+    EXPECT_EQ(prio, kLevel);
+    popped.emplace_back(u, begin, end);
+  }
+  std::sort(popped.begin(), popped.end());
+  EXPECT_EQ(popped, (std::vector<Popped>{{5, 0, core::kFullRange},
+                                         {7, 100, 200},
+                                         {9, 0, core::kFullRange}}));
 }
 
 // --- instrumentation -------------------------------------------------------

@@ -98,6 +98,7 @@ MUTATE_SCOPE = [
     "src/concurrent/spinlock.hpp",
     "src/concurrent/remote_queue.hpp",
     "src/sssp/curr_board.hpp",
+    "src/sssp/wasp_core.hpp",
     "src/sssp/wasp.cpp",
     "src/sssp/wasp_partitioned.cpp",
 ]
@@ -108,6 +109,7 @@ ABBREV = {
     "spinlock.hpp": "SL",
     "remote_queue.hpp": "RQ",
     "curr_board.hpp": "CURR",
+    "wasp_core.hpp": "WCORE",
     "wasp_partitioned.cpp": "WSPP",
     "multiqueue.hpp": "MQH",
     "multiqueue.cpp": "MQ",
