@@ -158,10 +158,9 @@ Measurement measure(const Graph& g, VertexId source, const SsspOptions& options,
       m.failure = "watchdog-timeout";
       break;
     }
-    times.push_back(r.stats.seconds);
-    if (r.stats.seconds < m.best_seconds) {
-      m.best_seconds = r.stats.seconds;
-      m.stats = r.stats;
+    times.push_back(r.metrics.seconds);
+    if (r.metrics.seconds < m.best_seconds) {
+      m.best_seconds = r.metrics.seconds;
       m.metrics = std::move(r.metrics);
     }
   }

@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
       const bench::Measurement m =
           bench::measure(w.graph, w.source, options, trials, solver);
       times[p].push_back(m.best_seconds);
-      work[p].push_back(static_cast<double>(m.stats.relaxations));
+      work[p].push_back(static_cast<double>(
+          m.metrics.counter(obs::CounterId::kRelaxations)));
       bench::print_cell(bench::format_time_ms(m.best_seconds), 12);
       std::fflush(stdout);
     }

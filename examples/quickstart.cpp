@@ -2,13 +2,12 @@
 //
 //   ./quickstart
 //
-// Demonstrates the two core public entry points: GraphBuilder for
+// Demonstrates the two core public entry points: Graph::from_edges for
 // construction and wasp::Solver for queries (the Solver owns the thread
 // team and the epoch-versioned distance pool, so repeat queries skip the
 // O(V) reinitialization).
 #include <cstdio>
 
-#include "graph/builder.hpp"
 #include "sssp/solver.hpp"
 
 int main() {
@@ -21,11 +20,10 @@ int main() {
   //   2 ------> 4 -------+
   //        5        (4,3,1)
   const wasp::Graph graph =
-      wasp::GraphBuilder()
-          .edges(5, {{0, 1, 1}, {0, 2, 4}, {1, 3, 3}, {1, 4, 2}, {2, 4, 5},
-                     {4, 3, 1}})
-          .undirected(false)
-          .build();
+      wasp::Graph::from_edges(5,
+                              {{0, 1, 1}, {0, 2, 4}, {1, 3, 3}, {1, 4, 2},
+                               {2, 4, 5}, {4, 3, 1}},
+                              /*undirected=*/false);
 
   wasp::SsspOptions options;
   options.algo = wasp::Algorithm::kWasp;
@@ -44,7 +42,8 @@ int main() {
     }
   }
   std::printf("edge relaxations: %llu, wall time: %.3f ms\n",
-              static_cast<unsigned long long>(result.stats.relaxations),
-              result.stats.seconds * 1e3);
+              static_cast<unsigned long long>(
+                  result.metrics.counter(wasp::obs::CounterId::kRelaxations)),
+              result.metrics.seconds * 1e3);
   return 0;
 }

@@ -50,9 +50,11 @@ class MultiQueue {
   void push(int tid, Distance key, VertexId value);
 
   /// Pops an approximately-minimal element. Returns false when the structure
-  /// appears empty from this thread's perspective (buffers flushed, sampled
-  /// queues empty); with a quiescent structure and no concurrent pushes,
-  /// false means truly empty.
+  /// appears empty from this thread's perspective (own buffers flushed, the
+  /// sampled queues empty). Refill samples only a few queues, so false does
+  /// not prove emptiness even when quiescent: elements may remain in queues
+  /// the sample missed. size_estimate() is the exact quiescent test (what
+  /// mq_dijkstra's termination reads, together with its busy count).
   bool try_pop(int tid, Distance& key, VertexId& value);
 
   /// Flushes the caller's insertion buffer so its elements become stealable

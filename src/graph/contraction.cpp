@@ -1,7 +1,5 @@
 #include "graph/contraction.hpp"
 
-#include "graph/builder.hpp"
-
 #include <stdexcept>
 
 namespace wasp {
@@ -60,10 +58,7 @@ PendantContraction PendantContraction::contract(const Graph& g, VertexId keep) {
   // Handle u < dst pairs missed above: the loop emits when dst < u only, so
   // pairs with u < dst are emitted from the other endpoint. Self-pairs are
   // impossible (no self-loops).
-  pc.core_ = GraphBuilder()
-                 .edges(n, std::move(core_edges))
-                 .undirected(true)
-                 .build();
+  pc.core_ = Graph::from_edges(n, core_edges, /*undirected=*/true);
   return pc;
 }
 

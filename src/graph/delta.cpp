@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "support/errors.hpp"
 
 namespace wasp {
@@ -207,12 +206,10 @@ void VersionedGraph::compact() {
     std::copy(list.begin(), list.end(), adjacency.begin() +
               static_cast<std::ptrdiff_t>(offsets[u]));
   }
-  // Through the one construction front door (GraphBuilder), so the flat
-  // rebuild revalidates exactly like every other producer.
-  flat_ = GraphBuilder()
-              .csr(std::move(offsets), std::move(adjacency))
-              .undirected(is_undirected())
-              .build();
+  // Through Graph::from_csr, so the flat rebuild revalidates exactly like
+  // every other producer.
+  flat_ = Graph::from_csr(std::move(offsets), std::move(adjacency),
+                          is_undirected());
   overlay_.clear();
   std::fill(overlay_index_.begin(), overlay_index_.end(), kNoOverlay);
   overlay_live_ = 0;

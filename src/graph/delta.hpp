@@ -164,8 +164,8 @@ class VersionedGraph {
   /// batches never dirty the graph).
   [[nodiscard]] bool dirty() const { return overlay_live_ != 0; }
 
-  /// Folds the overlay back into a flat CSR (O(n + m) copy through the
-  /// GraphBuilder plumbing). No-op when clean; does not change version().
+  /// Folds the overlay back into a flat CSR (O(n + m) copy through
+  /// Graph::from_csr). No-op when clean; does not change version().
   void compact();
 
   // --- two-level read view (overlay-aware; valid even while dirty) --------

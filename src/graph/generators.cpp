@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
 
 namespace wasp::gen {
 
@@ -14,10 +13,7 @@ namespace {
 Graph finish(VertexId n, std::vector<Edge>& edges, const WeightScheme& ws,
              std::uint64_t seed, bool undirected) {
   assign_weights(edges, ws, hash_mix(seed ^ 0x5eedULL));
-  return GraphBuilder()
-      .edges(n, std::move(edges))
-      .undirected(undirected)
-      .build();
+  return Graph::from_edges(n, edges, undirected);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ struct CacheAlignedAllocator {
   }
 };
 
-/// A directed edge with an explicit source, used by builders and generators.
+/// A directed edge with an explicit source, the input of Graph::from_edges.
 struct Edge {
   VertexId src;
   VertexId dst;
@@ -82,16 +82,12 @@ class Graph {
   /// Self-loops are dropped (the paper's edge set excludes u == v). When
   /// `undirected` is true every input edge {u,v} is stored as both (u,v) and
   /// (v,u) with the same weight; num_edges() then counts both directions.
-  ///
-  /// Deprecated shim: delegates to GraphBuilder (graph/builder.hpp), the one
-  /// front door for construction — prefer
-  /// GraphBuilder().edges(n, edges).undirected(u).build() in new code (it can
-  /// move the edge vector and can finish with build_versioned()).
   static Graph from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
                           bool undirected);
 
-  /// Builds directly from CSR arrays (used by I/O and transpose). Validation
-  /// lives here; GraphBuilder's csr() source routes through it.
+  /// Builds directly from CSR arrays (used by I/O, transpose and
+  /// VersionedGraph::compact). Validation lives here: every Graph's arrays
+  /// pass through it.
   static Graph from_csr(std::vector<EdgeIndex> offsets, AdjacencyVector adjacency,
                         bool undirected);
 

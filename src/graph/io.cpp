@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "support/errors.hpp"
 
 namespace wasp::io {
@@ -117,7 +116,7 @@ Graph read_edge_list(std::istream& in, bool undirected) {
                            static_cast<VertexId>(v)});
   }
   const VertexId n = edges.empty() ? 0 : max_vertex + 1;
-  return GraphBuilder().edges(n, std::move(edges)).undirected(undirected).build();
+  return Graph::from_edges(n, edges, undirected);
 }
 
 Graph read_edge_list_file(const std::string& path, bool undirected) {
@@ -187,10 +186,7 @@ Graph read_matrix_market(std::istream& in, double real_scale) {
     }
     edges.push_back({static_cast<VertexId>(r - 1), static_cast<VertexId>(c - 1), w});
   }
-  return GraphBuilder()
-      .edges(static_cast<VertexId>(n64), std::move(edges))
-      .undirected(symmetric)
-      .build();
+  return Graph::from_edges(static_cast<VertexId>(n64), edges, symmetric);
 }
 
 Graph read_matrix_market_file(const std::string& path, double real_scale) {

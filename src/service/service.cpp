@@ -208,29 +208,12 @@ std::shared_future<QueryResult> QueryService::submit(VersionedGraph& vg,
   return submit_impl(nullptr, &vg, req);
 }
 
-std::shared_future<QueryResult> QueryService::submit(const Graph& g,
-                                                     VertexId source,
-                                                     QueryOptions opt) {
-  QueryRequest req;
-  req.source = source;
-  req.priority = opt.priority;
-  req.budget = opt.budget;
-  req.tenant = std::move(opt.tenant);
-  req.allow_stale = opt.allow_stale;
-  return submit_impl(&g, nullptr, std::move(req));
-}
-
 QueryResult QueryService::solve(const Graph& g, const QueryRequest& req) {
   return submit(g, req).get();
 }
 
 QueryResult QueryService::solve(VersionedGraph& vg, const QueryRequest& req) {
   return submit(vg, req).get();
-}
-
-QueryResult QueryService::solve(const Graph& g, VertexId source,
-                                QueryOptions opt) {
-  return submit(g, source, std::move(opt)).get();
 }
 
 std::uint64_t QueryService::update(VersionedGraph& vg,
@@ -445,7 +428,6 @@ QueryResult QueryService::execute(Pending& q, int wid,
       solver->options().cancel = nullptr;
       r.outcome = Outcome::kServed;
       r.dist = std::move(s.dist);
-      r.stats = s.stats;
       r.graph_version = q.run_version;
       break;
     } catch (const SolveCancelledError& ex) {

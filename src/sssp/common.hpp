@@ -151,7 +151,7 @@ class AtomicDistances {
 /// Reusable tentative-distance storage for repeat queries. Not thread-safe:
 /// acquire() runs between parallel phases (the front-end calls it before
 /// handing workers the array). Solver owns one so repeated solve() calls
-/// skip the O(V) fill; the plain run_sssp overloads use a per-call pool.
+/// skip the O(V) fill; run_sssp uses a per-call pool.
 class DistancePool {
  public:
   /// Returns an array of `n` logically-kInfDist entries. The fast path is
@@ -317,9 +317,6 @@ struct SsspOptions {
   /// recorder. Both must outlive the run; the observer must be thread-safe.
   obs::RunObserver* observer = nullptr;
   obs::TraceRecorder* trace = nullptr;
-  /// Re-validate the CSR arrays (O(n + m)) before dispatch; the front-end
-  /// always performs the O(1) source/threads/shape checks.
-  bool paranoid_checks = false;
 
   /// Rejects out-of-range knobs with InvalidOptionsError (delta == 0,
   /// threads < 1, mq.c < 1, wasp.chunk_capacity outside the shipped
@@ -329,30 +326,10 @@ struct SsspOptions {
   void validate() const;
 };
 
-/// Instrumentation totals for one run — a compatibility view computed from
-/// the MetricsSnapshot (stats_from_snapshot below), kept so pre-registry
-/// callers and the bench tables read the totals they always did.
-struct SsspStats {
-  double seconds = 0.0;            ///< parallel-phase wall time
-  std::uint64_t relaxations = 0;
-  std::uint64_t updates = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t stale_skips = 0;   ///< redundant scheduling (priority drift)
-  std::uint64_t rounds = 0;        ///< synchronous steps (0 for async)
-  std::uint64_t barrier_ns = 0;    ///< total barrier wait across threads
-  std::uint64_t queue_op_ns = 0;   ///< total locked MultiQueue op time
-  std::uint64_t steal_ns = 0;      ///< total time in Wasp victim sweeps
-  std::uint64_t idle_ns = 0;       ///< total Wasp idle/termination-scan time
-};
-
-/// Projects a registry snapshot onto the legacy stats view.
-SsspStats stats_from_snapshot(const obs::MetricsSnapshot& snap);
-
-/// Distances plus instrumentation (stats is the legacy view of metrics).
+/// Distances plus the run's metrics snapshot (metrics.seconds is the
+/// parallel-phase wall time; metrics.counter(CounterId::kX) the totals).
 struct SsspResult {
   std::vector<Distance> dist;
-  SsspStats stats;
   obs::MetricsSnapshot metrics;
 };
 
@@ -408,8 +385,7 @@ struct RunContext {
 };
 
 /// Shared run epilogue: records the team gauges and the elapsed time into
-/// the registry, snapshots it into `result.metrics`, and fills the legacy
-/// `result.stats` view.
+/// the registry and snapshots it into `result.metrics`.
 void finalize_result(RunContext& ctx, double seconds, SsspResult& result);
 
 }  // namespace wasp

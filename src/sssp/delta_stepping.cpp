@@ -157,7 +157,7 @@ SsspResult delta_stepping(const Graph& g, VertexId source, Weight delta,
         done = next == kInfBin || ctx.poll_cancel();
         ++rounds;
         // One on_round per synchronous step, with the frontier this step just
-        // processed (call count == stats.rounds; tests rely on it).
+        // processed (call count == the kRounds counter; tests rely on it).
         my.observe(obs::HistId::kRoundFrontier, frontier.size());
         obs::trace_instant(ctx.trace, tid, obs::EventKind::kRoundTransition,
                            next == kInfBin ? 0 : next);

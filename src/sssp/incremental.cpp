@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "sssp/wasp.hpp"
 #include "support/errors.hpp"
 
@@ -44,7 +43,7 @@ const Graph& IncrementalSolver::in_view(const VersionedGraph& vg,
                                         const Graph& g) {
   if (vg.is_undirected()) return g;  // out-arcs mirror in-arcs
   if (!transpose_valid_) {
-    transpose_ = GraphBuilder().transpose_of(g).build();
+    transpose_ = transpose(g);
     transpose_valid_ = true;
   }
   return transpose_;
@@ -94,7 +93,7 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   dist_ = std::move(result.dist);
   last_ = RepairStats{};
   last_.full_solve = true;
-  last_.seconds = result.stats.seconds;
+  last_.seconds = result.metrics.seconds;
 
   // Bind the warm state only when the solve actually went through the
   // pooled atomic array (the sequential Dijkstra reference keeps its own
@@ -234,7 +233,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.effects = effects.size();
   last_.cone_vertices = cone_.size();
   last_.seed_vertices = seeds_.size();
-  last_.seconds = result.stats.seconds;
+  last_.seconds = result.metrics.seconds;
 }
 
 }  // namespace wasp

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "support/errors.hpp"
+#include "support/thread_team.hpp"
 
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
@@ -19,11 +20,9 @@ namespace wasp {
 namespace {
 
 /// Rejects inputs no algorithm can run on, with typed errors, before any
-/// worker thread is involved. The O(1) checks run always; the O(n + m) CSR
-/// scan runs only with options.paranoid_checks (Graph::from_csr already
-/// validates at construction, so this re-scan is for callers that bypassed
-/// it or mutated buffers underneath).
-void check_inputs(const Graph& g, VertexId source, const SsspOptions& options) {
+/// worker thread is involved. The CSR arrays themselves need no re-scan:
+/// Graph::from_csr validated them at construction.
+void check_inputs(const Graph& g, VertexId source) {
   if (g.num_vertices() == 0)
     throw InvalidGraphError("run_sssp: graph has no vertices");
   if (source >= g.num_vertices()) {
@@ -31,25 +30,6 @@ void check_inputs(const Graph& g, VertexId source, const SsspOptions& options) {
     os << "run_sssp: source " << source << " out of range [0, "
        << g.num_vertices() << ")";
     throw InvalidSourceError(os.str());
-  }
-  if (!options.paranoid_checks) return;
-  const auto& offsets = g.offsets();
-  const auto& adjacency = g.adjacency();
-  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      std::ostringstream os;
-      os << "run_sssp: CSR offsets decrease at vertex " << v << " ("
-         << offsets[v] << " > " << offsets[v + 1] << ")";
-      throw InvalidGraphError(os.str());
-    }
-  }
-  for (std::size_t i = 0; i < adjacency.size(); ++i) {
-    if (adjacency[i].dst >= g.num_vertices()) {
-      std::ostringstream os;
-      os << "run_sssp: adjacency[" << i << "].dst = " << adjacency[i].dst
-         << " out of range [0, " << g.num_vertices() << ")";
-      throw InvalidGraphError(os.str());
-    }
   }
 }
 
@@ -68,7 +48,7 @@ namespace detail {
 SsspResult dispatch_sssp(const Graph& g, VertexId source,
                          const SsspOptions& options, RunContext& ctx) {
   options.validate();
-  check_inputs(g, source, options);
+  check_inputs(g, source);
   ctx.metrics.reset();
   ctx.cancel = options.cancel;
   // Pre-fired token (or an already-expired deadline): reject before any
@@ -109,7 +89,7 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
                            options.stepping.direction_optimize, ctx);
     case Algorithm::kRadiusStepping: {
       // Preprocessing (the r_k radii) is part of radius-stepping's contract;
-      // its cost is excluded from stats.seconds like the baselines' graph
+      // its cost is excluded from metrics.seconds like the baselines' graph
       // loading, but callers wanting end-to-end cost can time this call.
       const std::vector<Distance> radii =
           compute_radii(g, options.stepping.radius_k, ctx.team);
@@ -146,21 +126,16 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
 
 }  // namespace detail
 
-SsspResult run_sssp(const Graph& g, VertexId source, const SsspOptions& options,
-                    ThreadTeam& team) {
-  obs::MetricsRegistry metrics(team.size());
-  RunContext ctx{team, metrics, options.trace, options.observer,
-                 options.chaos};
-  return detail::dispatch_sssp(g, source, options, ctx);
-}
-
 SsspResult run_sssp(const Graph& g, VertexId source,
                     const SsspOptions& options) {
   // Validate before spinning up the team so a bad threads count raises
   // InvalidOptionsError (not ThreadTeam's bare invalid_argument).
   options.validate();
   ThreadTeam team(options.threads);
-  return run_sssp(g, source, options, team);
+  obs::MetricsRegistry metrics(team.size());
+  RunContext ctx{team, metrics, options.trace, options.observer,
+                 options.chaos};
+  return detail::dispatch_sssp(g, source, options, ctx);
 }
 
 }  // namespace wasp

@@ -14,13 +14,11 @@
 // are validated once at this front door (SsspOptions::validate()).
 //
 // Callers that amortize worker-thread creation, NUMA detection, and metrics
-// allocation across many runs should use wasp::Solver (sssp/solver.hpp);
-// the ThreadTeam overload below remains for callers that only share a team.
+// allocation across many runs should use wasp::Solver (sssp/solver.hpp).
 #pragma once
 
 #include "graph/graph.hpp"
 #include "sssp/common.hpp"
-#include "support/thread_team.hpp"
 
 namespace wasp {
 
@@ -28,12 +26,8 @@ namespace wasp {
 /// thread team of `options.threads` workers.
 SsspResult run_sssp(const Graph& g, VertexId source, const SsspOptions& options);
 
-/// Same, on a caller-provided team (team.size() overrides options.threads).
-SsspResult run_sssp(const Graph& g, VertexId source, const SsspOptions& options,
-                    ThreadTeam& team);
-
 namespace detail {
-/// The shared dispatch behind both run_sssp overloads and Solver::solve:
+/// The shared dispatch behind run_sssp and Solver::solve:
 /// validates inputs and options, then runs options.algo under `ctx`
 /// (ctx.metrics needs >= ctx.team.size() shards; it is reset here).
 SsspResult dispatch_sssp(const Graph& g, VertexId source,

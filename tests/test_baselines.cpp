@@ -23,6 +23,8 @@
 namespace wasp {
 namespace {
 
+using obs::CounterId;
+
 struct Ref {
   Graph graph;
   VertexId source;
@@ -60,7 +62,7 @@ TEST(Julienne, OverflowRebucketingOnDeepGraphs) {
                                /*direction_optimize=*/false, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
   // Many more rounds than buckets in one window.
-  EXPECT_GT(r.stats.rounds, 32u);
+  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 32u);
 }
 
 TEST(Julienne, PullRoundsFireOnStarAndStayExact) {
@@ -81,7 +83,8 @@ TEST(Julienne, WideDeltaCollapsesToFewRounds) {
   Ctx c(2);
   const auto r = julienne_sssp(ref.graph, ref.source, 1u << 20, false, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
-  EXPECT_LE(r.stats.rounds, 16u);  // everything lands in bucket 0
+  // Everything lands in bucket 0.
+  EXPECT_LE(r.metrics.counter(CounterId::kRounds), 16u);
 }
 
 // --- Delta* / rho stepping ---------------------------------------------------
@@ -157,15 +160,16 @@ TEST(DeltaStepping, BucketFusionPreservesResultsAndCutsRounds) {
   EXPECT_EQ(fused.dist, ref.dist);
   EXPECT_EQ(plain.dist, ref.dist);
   // Fusion's whole point: fewer synchronous steps on road-like graphs.
-  EXPECT_LT(fused.stats.rounds, plain.stats.rounds);
+  EXPECT_LT(fused.metrics.counter(CounterId::kRounds),
+            plain.metrics.counter(CounterId::kRounds));
 }
 
 TEST(DeltaStepping, BarrierTimeIsRecorded) {
   const Ref ref = make_ref(gen::grid(40, 40, WeightScheme::gap(), 13));
   Ctx c(4);
   const auto r = delta_stepping(ref.graph, ref.source, 32, true, c.ctx);
-  EXPECT_GT(r.stats.barrier_ns, 0u);
-  EXPECT_GT(r.stats.rounds, 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kBarrierNs), 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 0u);
 }
 
 TEST(DeltaStepping, DeltaZeroIsRejectedAtTheFrontDoor) {
@@ -272,7 +276,7 @@ TEST(MqDijkstra, QueueOpTimeIsRecorded) {
   const Ref ref = make_ref(gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 19));
   Ctx c(2);
   const auto r = mq_dijkstra(ref.graph, ref.source, 2, 8, 16, 1, c.ctx);
-  EXPECT_GT(r.stats.queue_op_ns, 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kQueueOpNs), 0u);
 }
 
 // --- Bellman-Ford --------------------------------------------------------------
@@ -284,7 +288,7 @@ TEST(BellmanFord, NegativeFreeCyclesConverge) {
   Ctx c(4);
   const auto r = bellman_ford(ref.graph, ref.source, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
-  EXPECT_GT(r.stats.rounds, 1u);
+  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 1u);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/builder.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
@@ -206,10 +205,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 Graph tiny_graph() {
   // 0-1-2-3 path plus a 0-3 chord; undirected.
-  return GraphBuilder()
-      .edges(4, {{0, 1, 4}, {1, 2, 3}, {2, 3, 2}, {0, 3, 20}})
-      .undirected(true)
-      .build();
+  return Graph::from_edges(4, {{0, 1, 4}, {1, 2, 3}, {2, 3, 2}, {0, 3, 20}},
+                          /*undirected=*/true);
 }
 
 TEST(IncrementalDelta, ApplyBumpsVersionAndJournalsBothArcs) {

@@ -16,6 +16,8 @@
 namespace wasp {
 namespace {
 
+using obs::CounterId;
+
 struct TestGraph {
   const char* name;
   Graph graph;
@@ -185,10 +187,10 @@ TEST(SsspEdgeCases, ParallelEdgesKeepMinimum) {
   EXPECT_EQ(r.dist[1], 3u);
 }
 
-TEST(SsspStats, RelaxationCountsArePlausible) {
+TEST(SolveMetrics, RelaxationCountsArePlausible) {
   const TestGraph& tg = test_graph(4);  // undirected rmat
   const SsspResult reference = dijkstra(tg.graph, tg.source);
-  EXPECT_GT(reference.stats.relaxations, 0u);
+  EXPECT_GT(reference.metrics.counter(CounterId::kRelaxations), 0u);
 
   SsspOptions options;
   options.algo = Algorithm::kWasp;
@@ -199,9 +201,10 @@ TEST(SsspStats, RelaxationCountsArePlausible) {
   // A parallel run cannot beat Dijkstra's relaxation count (the theoretical
   // minimum modulo leaf pruning, which only removes relaxations Dijkstra
   // performs; allow small slack for that).
-  EXPECT_GE(wasp_run.stats.relaxations + tg.graph.num_vertices(),
-            reference.stats.relaxations / 2);
-  EXPECT_GT(wasp_run.stats.updates, 0u);
+  EXPECT_GE(wasp_run.metrics.counter(CounterId::kRelaxations) +
+                tg.graph.num_vertices(),
+            reference.metrics.counter(CounterId::kRelaxations) / 2);
+  EXPECT_GT(wasp_run.metrics.counter(CounterId::kUpdates), 0u);
 }
 
 }  // namespace

@@ -1344,9 +1344,15 @@ void bag_harness_one_seed(std::uint64_t seed, Queue& queue, int threads,
       }
     }
   }
-  bool drained_any = true;
-  while (drained_any) {
-    drained_any = false;
+  // Drain until the element count, exact at quiescence, reads 0. A pass
+  // that pops nothing is not proof of emptiness: try_pop samples only a few
+  // queues, so the last thread's flush can land in a queue its own refill
+  // misses. Bounding the empty passes turns a really lost element into the
+  // conservation failure below instead of a hang.
+  constexpr int kMaxEmptyPasses = 64;
+  for (int empty_passes = 0;
+       queue.size_estimate() > 0 && empty_passes < kMaxEmptyPasses;) {
+    bool drained_any = false;
     for (int t = 0; t < threads; ++t) {
       Distance key;
       VertexId value;
@@ -1355,6 +1361,7 @@ void bag_harness_one_seed(std::uint64_t seed, Queue& queue, int threads,
         drained_any = true;
       }
     }
+    empty_passes = drained_any ? 0 : empty_passes + 1;
   }
   for (const auto& [elem, count] : balance)
     ASSERT_EQ(count, 0) << replay_hint(seed) << ": element (" << elem.first

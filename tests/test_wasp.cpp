@@ -21,6 +21,8 @@
 namespace wasp {
 namespace {
 
+using obs::CounterId;
+
 struct Fixture {
   Graph graph;
   VertexId source;
@@ -300,9 +302,9 @@ TEST(WaspStats, StealsHappenWithManyThreads) {
   std::uint64_t attempts = 0;
   for (int attempt = 0; attempt < 15 && steals == 0; ++attempt) {
     const SsspResult r = run_sssp(f.graph, f.source, options);
-    steals = r.stats.steals;
-    attempts = r.stats.steal_attempts;
-    EXPECT_GT(r.stats.relaxations, 0u);
+    steals = r.metrics.counter(CounterId::kSteals);
+    attempts = r.metrics.counter(CounterId::kStealAttempts);
+    EXPECT_GT(r.metrics.counter(CounterId::kRelaxations), 0u);
     std::string message;
     ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
   }
@@ -324,7 +326,7 @@ TEST(WaspStats, SingleThreadNeverSteals) {
   options.delta = 16;
   const Fixture& f = grid_fixture();
   const SsspResult r = run_sssp(f.graph, f.source, options);
-  EXPECT_EQ(r.stats.steals, 0u);
+  EXPECT_EQ(r.metrics.counter(CounterId::kSteals), 0u);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
 }
@@ -358,7 +360,9 @@ TEST(WaspStats, OccupancyCountersPopulated) {
   options.threads = 6;
   options.delta = 1024;
   const SsspResult r = run_sssp(f.graph, f.source, options);
-  EXPECT_GT(r.stats.steal_ns + r.stats.idle_ns, 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kStealNs) +
+                r.metrics.counter(CounterId::kIdleNs),
+            0u);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
 }
