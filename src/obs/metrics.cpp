@@ -39,8 +39,6 @@ const char* counter_name(CounterId id) {
     case CounterId::kRepairConeVertices: return "repair_cone_vertices";
     case CounterId::kRepairSeedVertices: return "repair_seed_vertices";
     case CounterId::kGraphCompactions: return "graph_compactions";
-    case CounterId::kRemoteRelaxations: return "remote_relaxations";
-    case CounterId::kRemoteBatches: return "remote_batches";
     case CounterId::kLocalSteals: return "local_steals";
     case CounterId::kRemoteSteals: return "remote_steals";
   }
@@ -61,7 +59,6 @@ const char* histogram_name(HistId id) {
     case HistId::kStealSweepNs: return "steal_sweep_ns";
     case HistId::kIdleScanNs: return "idle_scan_ns";
     case HistId::kRoundFrontier: return "round_frontier";
-    case HistId::kRemoteQueueDepth: return "remote_queue_depth";
   }
   return "?";
 }

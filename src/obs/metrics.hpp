@@ -60,17 +60,11 @@ enum class CounterId : std::uint8_t {
   kRepairConeVertices, ///< vertices invalidated into the increase cone
   kRepairSeedVertices, ///< warm seeds handed to wasp_sssp_seeded
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
-  // --- partitioned execution (graph/partition.hpp + remote_queue.hpp).
-  // --- A remote relaxation is counted once, at the sender, as BOTH
-  // --- kRelaxations and kRemoteRelaxations; the receiver's application of
-  // --- the record counts only kUpdates on improvement, so
-  // --- remote_relaxations / relaxations is a true share in [0, 1]. --------
-  kRemoteRelaxations,  ///< relaxations routed through a remote queue
-  kRemoteBatches,      ///< remote batches published (flushes)
+  // --- Wasp steal locality (NUMA victim tiers, Algorithm 2) ---------------
   kLocalSteals,        ///< successful steals from a same-NUMA-node victim
   kRemoteSteals,       ///< successful steals from a cross-node victim
 };
-inline constexpr std::size_t kNumCounters = 36;
+inline constexpr std::size_t kNumCounters = 34;
 
 enum class GaugeId : std::uint8_t {
   kMaxFrontier,  ///< largest synchronous-round frontier seen
@@ -83,9 +77,8 @@ enum class HistId : std::uint8_t {
   kStealSweepNs,      ///< latency of one Wasp victim sweep
   kIdleScanNs,        ///< latency of one termination-scan iteration
   kRoundFrontier,     ///< frontier size per synchronous round
-  kRemoteQueueDepth,  ///< records drained per remote-queue grab
 };
-inline constexpr std::size_t kNumHistograms = 4;
+inline constexpr std::size_t kNumHistograms = 3;
 inline constexpr std::size_t kHistBuckets = 64;
 
 const char* counter_name(CounterId id);

@@ -75,13 +75,6 @@ void SsspOptions::validate() const {
       fail(os.str());
     }
   }
-  if (wasp.partition.num_fragments < 0) {
-    fail("wasp.partition.num_fragments must be >= 0 (0 = one per NUMA node)");
-  }
-  if (wasp.partition.flush_threshold < 1 ||
-      wasp.partition.flush_threshold > 256) {
-    fail("wasp.partition.flush_threshold must be in [1, 256]");
-  }
   if (stepping.rho == 0) fail("stepping.rho must be >= 1");
   if (stepping.radius_k == 0) fail("stepping.radius_k must be >= 1");
   if (mq.c < 1) fail("mq.c must be >= 1");

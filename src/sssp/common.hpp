@@ -139,11 +139,8 @@ class AtomicDistances {
   // Starts at 1, never 0: a freshly value-initialized atomic entry holds the
   // all-zero word, and under epoch 0 that word would decode as a LIVE
   // {tag 0, distance 0} — a ghost zero that beats every candidate and
-  // silently defeats relax_to(). A reader racing the constructing thread's
-  // sweep (partitioned shards are built by fragment leaders inside the
-  // parallel phase; the stale-read verify model exercises exactly this) must
-  // instead decode the zero word as a tag mismatch, i.e. kInfDist, which the
-  // monotone CAS handles harmlessly.
+  // silently defeats relax_to(). A zero word must instead decode as a tag
+  // mismatch, i.e. kInfDist, which the monotone CAS handles harmlessly.
   std::uint32_t epoch_ = 1;
   std::unique_ptr<verify::atomic<std::uint64_t>[]> dist_;
 };
@@ -198,8 +195,6 @@ enum class Algorithm {
 /// the bench labels, and the error messages all read from it.
 /// Canonical name of `a` ("wasp", "gap", "gbbs", ...).
 const char* to_string(Algorithm a);
-/// Back-compat alias for to_string().
-inline const char* algorithm_name(Algorithm a) { return to_string(a); }
 /// Parses a canonical name or its documented alias ("bf"/"bellman-ford",
 /// "gap"/"delta", ...); throws std::invalid_argument listing the accepted
 /// names otherwise.
@@ -230,22 +225,6 @@ struct WaspConfig {
   /// Solver fills this in once at construction so repeated solve() calls
   /// skip re-detection.
   std::shared_ptr<const NumaTopology> topology;
-
-  /// Partitioned execution mode (ROADMAP item 4, docs/NUMA.md): split the
-  /// CSR into per-NUMA-node fragments, run the deque protocol inside each
-  /// fragment, and route boundary relaxations through batched remote queues
-  /// instead of CAS traffic on remote cache lines.
-  struct Partition {
-    bool enabled = false;
-    /// Fragment count; 0 = one per NUMA node of `topology` (clamped to the
-    /// thread count by the driver so every fragment has a worker).
-    int num_fragments = 0;
-    /// Records buffered per destination before a batch is published, in
-    /// [1, 256] (256 is RemoteBatch::kCapacity). Smaller = lower boundary
-    /// latency, larger = fewer cross-node lines per record.
-    std::uint32_t flush_threshold = 64;
-  };
-  Partition partition;
 };
 
 /// Dong et al. stepping knobs (Δ*-, ρ-, radius-stepping).

@@ -63,7 +63,7 @@ class CurrBoard {
   /// Termination-scan read (§4.3 double-scan). Acquire: pairs with
   /// publish() so a scanner that observes a worker idle is ordered after
   /// that worker's last real-level activity; the double-scan epoch check
-  /// tolerates staleness here (see core::WorkerCore::scan_board).
+  /// tolerates staleness here (see core::Worker::scan_board).
   [[nodiscard]] std::uint64_t scan(int t) const {
     return slots_[static_cast<std::size_t>(t)].value.load(
         std::memory_order_acquire);

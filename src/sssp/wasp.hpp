@@ -27,12 +27,10 @@
 // intermediate kStealingPriority state: a thief is never INF while it holds
 // a freshly stolen chunk, so "all threads INF" really means no work exists.
 //
-// The three entry points below run one worker core (sssp/wasp_core.hpp:
-// frontier, steal sweep, double scan, chunk-capacity dispatch). The flat
-// engine (wasp.cpp; a cold solve is a seeded run with one seed at distance
-// 0) adds the bidirectional pull on the global CSR and exits on a passing
-// scan; the partitioned engine (wasp_partitioned.cpp) adds fragment rows,
-// remote sends and drains, and a vote barrier on top of the scan.
+// Both entry points below run the same worker (sssp/wasp_core.hpp) from the
+// same driver (wasp.cpp): a cold solve is a seeded run with one seed at
+// distance 0. NUMA awareness is the victim order alone — every worker reads
+// the one CSR and the one distance array.
 #pragma once
 
 #include <span>
@@ -68,23 +66,5 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
                             RunContext& ctx);
-
-/// Partitioned execution mode (docs/NUMA.md): the CSR is
-/// split into per-NUMA-node fragments (graph/partition.hpp), each with its
-/// own distance shard and fragment-local deque protocol; boundary
-/// relaxations cross fragments only through batched remote queues
-/// (concurrent/remote_queue.hpp), and the termination scan extends the
-/// double-scan protocol with an in-flight remote-record confirmation and
-/// a quiescence barrier: no worker exits until every worker's scan passes
-/// simultaneously (an exited worker could otherwise strand its fragment's
-/// inbound channel).
-/// Converges to the same exact-distance fixed point as wasp_sssp — the
-/// partition correctness suite pins bit-identical results. Reached through
-/// dispatch_sssp by setting options.wasp.partition.enabled; knobs beyond
-/// WaspConfig: config.partition (fragment count, flush threshold).
-/// Bidirectional relaxation is disabled inside fragments (it would read
-/// remote shards); all other §4.4 optimizations apply unchanged.
-SsspResult wasp_sssp_partitioned(const Graph& g, VertexId source, Weight delta,
-                                 const WaspConfig& config, RunContext& ctx);
 
 }  // namespace wasp

@@ -1,26 +1,20 @@
-// The Wasp worker core (paper Algorithms 1-2, §4.2-4.4), shared by the flat
-// engine (wasp.cpp, which also backs the seeded repair runs) and the
-// partitioned engine (wasp_partitioned.cpp).
+// The Wasp worker (paper Algorithms 1-2, §4.2-4.4). wasp.cpp is the driver:
+// it resolves the NUMA placement, seeds the frontier (a cold solve is the
+// one-seed case at distance 0; incremental repair passes many) and runs one
+// Worker per team thread.
 //
-// What lives here is everything both workers run unchanged:
 //  * Frontier: one worker's bucket list of chunks, its buffer chunk, its
 //    stealable current-bucket deque, its chunk pool, and its published
 //    `curr` level, with push / push_chunk / pop (chunk-drain lookahead) /
 //    pour;
-//  * WorkerCore: the pop loop, neighborhood decomposition, the steal sweep
-//    over a member list (flat: every worker; partitioned: the fragment's
-//    members) with the three §4.2 policies and the stolen-chunk drain, and
-//    the pieces of the §4.3 double-scan termination check;
+//  * Shared: the run-wide state — graph, distances, the curr board, every
+//    worker's deque, the chunk arena, the victim tiers and the steal epoch;
+//  * Worker: the pop loop, the relaxation (bidirectional pull, then push
+//    with neighborhood decomposition and leaf pruning), the steal sweep
+//    with the three §4.2 policies and the stolen-chunk drain, and the §4.3
+//    double-scan termination check;
 //  * with_chunk_capacity: the one dispatch from the runtime chunk capacity
 //    to the compiled instantiations.
-//
-// What stays in each engine is only what differs: how a neighborhood is
-// relaxed (the flat pull-then-push on the global CSR vs the fragment row
-// with remote sends), the partitioned flush/drain steps, and each engine's
-// exit rule. The engine plugs in through CRTP — WorkerCore calls
-// Derived::load_dist, Derived::prefetch_vertex and
-// Derived::process_neighborhood — so the per-pop and per-edge paths carry
-// no virtual call, function pointer or mode flag.
 //
 // Private to src/sssp (and its unit tests), like curr_board.hpp.
 #pragma once
@@ -32,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -42,6 +37,7 @@
 #include "sssp/curr_board.hpp"
 #include "support/errors.hpp"
 #include "support/numa.hpp"
+#include "support/prefetch.hpp"
 #include "support/random.hpp"
 #include "support/thread_team.hpp"
 #include "support/timer.hpp"
@@ -49,10 +45,9 @@
 
 namespace wasp::core {
 
-/// `curr` value of a thread that is out of local work and sweeping victims
-/// (or, in the partitioned engine, draining remote records). Distinct from
-/// kInfPriority so a thief holding freshly stolen work can never be
-/// mistaken for an idle thread by the termination scan.
+/// `curr` value of a thread that is out of local work and sweeping victims.
+/// Distinct from kInfPriority so a thief holding freshly stolen work can
+/// never be mistaken for an idle thread by the termination scan.
 inline constexpr std::uint64_t kStealingPriority = kInfPriority - 1;
 
 /// Sentinel neighbour range meaning "the whole adjacency list".
@@ -76,27 +71,6 @@ decltype(auto) with_chunk_capacity(std::uint32_t capacity, const char* who,
           ": chunk_capacity must be one of 16, 32, 64, 128, 256");
   }
 }
-
-/// Where the team's workers run: CPU per worker (folded into the topology)
-/// and NUMA node per worker.
-struct Placement {
-  std::shared_ptr<const NumaTopology> topo;
-  std::vector<int> cpu_of;
-  std::vector<int> node_of;
-
-  Placement(const WaspConfig& config, const ThreadTeam& team)
-      : topo(config.topology) {
-    if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
-    const int p = team.size();
-    cpu_of.resize(static_cast<std::size_t>(p));
-    node_of.resize(static_cast<std::size_t>(p));
-    for (int t = 0; t < p; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      cpu_of[i] = team.cpu_of(t) % topo->num_cpus();
-      node_of[i] = topo->node_of_cpu(cpu_of[i]);
-    }
-  }
-};
 
 /// Thread-local bucket list: level -> linked stack of chunks, the head chunk
 /// partially filled. Grown by power-of-two rounding (§4.3).
@@ -275,10 +249,12 @@ class Frontier {
   std::uint64_t curr_ = kInfPriority;
 };
 
-/// Run-wide state every worker of either engine shares. Owns the deques so
-/// a finished worker's current bucket stays probeable by late thieves.
+/// Run-wide state every worker shares. Owns the deques so a finished
+/// worker's current bucket stays probeable by late thieves.
 template <typename ChunkT>
 struct Shared {
+  const Graph& graph;
+  AtomicDistances& dist;
   const WaspConfig& config;
   RunContext& ctx;  ///< metrics shards, trace recorder, observer
   Weight delta;
@@ -288,50 +264,86 @@ struct Shared {
   std::vector<std::unique_ptr<ChaseLevDeque<ChunkT*>>> deques;
   BasicChunkArena<ChunkT> arena;
   std::vector<int> node_of;  ///< worker -> NUMA node (steal locality)
+  VictimTiers tiers;         ///< per-worker victim ids, nearest tier first
   /// Bumped whenever a thread enters a termination-mode sweep; the
   /// double-scan termination check needs it to detect work migrating
-  /// behind a scan (see WorkerCore::scan_board).
+  /// behind a scan (see Worker::scan_board).
   verify::atomic<std::uint64_t> steal_epoch{0};
 
-  Shared(const Graph& g, const WaspConfig& cfg, RunContext& ctx_,
-         Weight delta_, std::vector<int> node_of_)
-      : config(cfg), ctx(ctx_), delta(delta_),
+  /// `cpu_of[t]` is worker t's CPU, folded into `topo`'s CPU range.
+  Shared(const Graph& g, AtomicDistances& dist_, Weight delta_,
+         const WaspConfig& cfg, RunContext& ctx_, const NumaTopology& topo,
+         const std::vector<int>& cpu_of)
+      : graph(g), dist(dist_), config(cfg), ctx(ctx_), delta(delta_),
         leaf_bits(cfg.leaf_pruning ? compute_leaf_bitmap(g)
                                    : std::vector<std::uint8_t>{}),
         leaf(cfg.leaf_pruning ? leaf_bits.data() : nullptr),
         curr(ctx_.team.size()),
         deques(static_cast<std::size_t>(ctx_.team.size())),
-        node_of(std::move(node_of_)) {
+        tiers(topo, cpu_of) {
     for (auto& d : deques) d = std::make_unique<ChaseLevDeque<ChunkT*>>();
+    for (const int cpu : cpu_of) node_of.push_back(topo.node_of_cpu(cpu));
   }
 };
 
-/// The part of a Wasp worker both engines share. `Derived` supplies:
-///  * `Distance load_dist(VertexId u) const` — u's tentative distance;
-///  * `void prefetch_vertex(VertexId v)` — chunk-drain lookahead target;
-///  * `void process_neighborhood(VertexId u, std::uint64_t prio,
-///     std::uint32_t begin, std::uint32_t end)` — relax [begin, end) of u's
-///     row (end == kFullRange: the whole row, see split_neighborhood).
-template <typename Derived, typename ChunkT>
-class WorkerCore {
- protected:
-  using CId = obs::CounterId;
-  using EK = obs::EventKind;
-
-  /// `members` are the workers this one may steal from (itself included,
-  /// at index `me`); `tiers` ranks them by NUMA distance in member-local
-  /// indices.
-  WorkerCore(Shared<ChunkT>& shared, int tid, std::span<const int> members,
-             const VictimTiers& tiers, int me)
+/// Per-thread worker implementing Algorithms 1 and 2 on the global CSR.
+template <typename ChunkT>
+class Worker {
+ public:
+  Worker(Shared<ChunkT>& shared, int tid)
       : core_(shared), tid_(tid), my_(shared.ctx.metrics.shard(tid)),
         frontier_(shared.arena, *shared.deques[static_cast<std::size_t>(tid)],
                   shared.curr, tid, my_, shared.ctx.trace,
                   shared.ctx.prefetch_lookahead),
         rng_(hash_mix(0xA5B5ULL + static_cast<std::uint64_t>(tid))),
-        members_(members), tiers_(tiers), me_(me),
         lookahead_(shared.ctx.prefetch_lookahead) {}
 
-  Derived& self() { return static_cast<Derived&>(*this); }
+  /// Seeds this worker's round-robin share of the initial frontier
+  /// (seeds[i] with i % team_size == tid) at the levels the driver computed.
+  /// The level is published before the pushes, so a seed at that level
+  /// lands in the buffer chunk exactly as a relaxation would put it there.
+  /// The driver pre-published the same level on the board, so the
+  /// termination scan cannot fire before these land.
+  void seed(std::span<const VertexId> seeds,
+            std::span<const std::uint64_t> levels, std::uint64_t min_level) {
+    if (min_level == kInfPriority) return;
+    frontier_.publish(min_level);
+    const auto p = static_cast<std::size_t>(core_.ctx.team.size());
+    for (std::size_t i = static_cast<std::size_t>(tid_); i < seeds.size();
+         i += p) {
+      if (levels[i] != kInfPriority) frontier_.push(seeds[i], levels[i]);
+    }
+  }
+
+  /// The main work loop (Algorithm 1, work_stealing_shortest_path).
+  void run() {
+    for (;;) {
+      // Cancellation point: abandon unprocessed buckets (arena-owned, freed
+      // with the run) and leave through the normal idle path. Publishing
+      // kInfPriority lets peers still inside terminate() reach the all-idle
+      // verdict even before their own poll fires.
+      if (core_.ctx.stop_requested()) {
+        frontier_.publish(kInfPriority);
+        return;
+      }
+      drain_current_bucket();
+
+      // Current bucket is empty: try to find higher-priority work elsewhere
+      // before touching lower-priority local buckets (Algorithm 1, L22).
+      const std::uint64_t next = frontier_.next_level();
+      if (try_steal_and_process(next)) continue;
+
+      if (next != kInfPriority) {
+        advance_bucket(next);
+        continue;
+      }
+      if (terminate()) return;
+    }
+  }
+
+ private:
+  using CId = obs::CounterId;
+  using EK = obs::EventKind;
 
   // --- current bucket ----------------------------------------------------
 
@@ -340,7 +352,7 @@ class WorkerCore {
     std::uint64_t prio;
     std::uint32_t begin, end;
     while (frontier_.pop(u, prio, begin, end,
-                         [this](VertexId v) { self().prefetch_vertex(v); })) {
+                         [this](VertexId v) { prefetch_vertex(v); })) {
       // Cancellation point (one relaxed load per pop): leftover entries in
       // the buffer/deque are simply dropped — run() exits next iteration.
       if (core_.ctx.stop_requested()) return;
@@ -348,13 +360,19 @@ class WorkerCore {
         my_.inc(CId::kStaleSkips);
         continue;
       }
-      self().process_neighborhood(u, prio, begin, end);
+      process_neighborhood(u, prio, begin, end);
     }
+  }
+
+  /// Chunk-drain lookahead target: v's distance entry and row offset.
+  void prefetch_vertex(VertexId v) {
+    prefetch_read(core_.dist.prefetch_addr(v));
+    prefetch_read(core_.graph.offsets_data() + v);
   }
 
   /// Algorithm 1 line 20: skip entries superseded by a better path.
   [[nodiscard]] bool is_stale(VertexId u, std::uint64_t prio) {
-    return static_cast<std::uint64_t>(self().load_dist(u)) <
+    return static_cast<std::uint64_t>(core_.dist.load(u)) <
            prio * static_cast<std::uint64_t>(core_.delta);
   }
 
@@ -367,7 +385,52 @@ class WorkerCore {
     frontier_.pour(next);
   }
 
-  // --- relaxation helpers -------------------------------------------------
+  // --- relaxation (Algorithm 1 lines 1-15 + §4.4 optimizations) ----------
+
+  /// Relaxes [begin, end) of u's row (end == kFullRange: the whole row,
+  /// split by split_neighborhood).
+  void process_neighborhood(VertexId u, std::uint64_t prio, std::uint32_t begin,
+                            std::uint32_t end) {
+    const Graph& g = core_.graph;
+    const std::uint32_t degree = g.out_degree(u);
+    if (end == kFullRange) end = split_neighborhood(u, prio, degree);
+
+    Distance du = core_.dist.load(u);
+
+    // Bidirectional relaxation (§4.4): for small undirected neighborhoods,
+    // pull a potentially better distance for u before pushing.
+    if (core_.config.bidirectional_relaxation && g.is_undirected() &&
+        degree <= 8 && begin == 0) {
+      Distance best = du;
+      for (const WEdge& e : g.out_neighbors(u)) {
+        my_.inc(CId::kRelaxations);
+        const Distance dn = core_.dist.load(e.dst);
+        const Distance through = saturating_add(dn, e.w);
+        if (through < best) best = through;
+      }
+      if (best < du) {
+        if (core_.dist.relax_to(u, best)) my_.inc(CId::kUpdates);
+        du = core_.dist.load(u);
+      }
+    }
+
+    count_vertex();
+    // Indexed drain over the interleaved records so edge j can prefetch the
+    // dist entry of edge j + lookahead's target (the data-dependent miss).
+    const WEdge* edges = g.edge_data() + g.edge_offset(u);
+    for (std::uint32_t j = begin; j < end; ++j) {
+      if (lookahead_ != 0 && j + lookahead_ < end)
+        prefetch_read(core_.dist.prefetch_addr(edges[j + lookahead_].dst));
+      const WEdge& e = edges[j];
+      my_.inc(CId::kRelaxations);
+      const Distance nd = saturating_add(du, e.w);
+      if (core_.dist.relax_to(e.dst, nd)) {
+        my_.inc(CId::kUpdates);
+        schedule(e.dst, nd);
+      }
+    }
+    count_prefetches(begin, end);
+  }
 
   /// Neighborhood decomposition (§4.4) of a whole-row request: split a
   /// huge adjacency into theta-sized range chunks at the same priority; we
@@ -471,9 +534,9 @@ class WorkerCore {
           continue;
         }
         if (range) {
-          self().process_neighborhood(u, prio, rb, re);
+          process_neighborhood(u, prio, rb, re);
         } else {
-          self().process_neighborhood(u, prio, 0, kFullRange);
+          process_neighborhood(u, prio, 0, kFullRange);
         }
       }
       c->reset();
@@ -488,9 +551,8 @@ class WorkerCore {
   /// the first tier that yields anything.
   int steal_priority_numa(std::uint64_t next, ChunkT** out) {
     int count = 0;
-    for (const auto& tier : tiers_.tiers(me_)) {
-      for (const int lv : tier) {
-        const int t = members_[static_cast<std::size_t>(lv)];
+    for (const auto& tier : core_.tiers.tiers(tid_)) {
+      for (const int t : tier) {
         note_attempt(t);
         const std::uint64_t victim_curr = core_.curr.probe(t);  // acquire
         if (victim_curr > next) {
@@ -512,10 +574,9 @@ class WorkerCore {
   /// Traditional random-victim stealing (§4.2 ablation): up to
   /// steal_retries+1 random victims, taking any available chunk.
   int steal_random(ChunkT** out) {
-    const int m = static_cast<int>(members_.size());
-    if (m <= 1) return 0;
+    if (core_.curr.size() <= 1) return 0;
     for (int attempt = 0; attempt <= core_.config.steal_retries; ++attempt) {
-      const int t = random_victim(m);
+      const int t = random_victim();
       note_attempt(t);
       if (take_from(t, out)) return 1;
     }
@@ -525,11 +586,10 @@ class WorkerCore {
   /// MultiQueue-like two-choice stealing (§4.2 ablation): sample two
   /// victims, steal from the one with the better current priority.
   int steal_two_choice(ChunkT** out) {
-    const int m = static_cast<int>(members_.size());
-    if (m <= 1) return 0;
+    if (core_.curr.size() <= 1) return 0;
     for (int attempt = 0; attempt <= core_.config.steal_retries; ++attempt) {
-      const int a = random_victim(m);
-      const int b = random_victim(m);
+      const int a = random_victim();
+      const int b = random_victim();
       const std::uint64_t ca = core_.curr.probe(a);  // acquire (curr_board.hpp)
       const std::uint64_t cb = core_.curr.probe(b);  // acquire (curr_board.hpp)
       const int t = ca <= cb ? a : b;
@@ -539,11 +599,12 @@ class WorkerCore {
     return 0;
   }
 
-  /// A uniformly random member other than this worker, as a worker id.
-  int random_victim(int m) {
-    int lv = static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(m - 1)));
-    if (lv >= me_) ++lv;
-    return members_[static_cast<std::size_t>(lv)];
+  /// A uniformly random worker other than this one.
+  int random_victim() {
+    const auto others = static_cast<std::uint64_t>(core_.curr.size() - 1);
+    int t = static_cast<int>(rng_.next_below(others));
+    if (t >= tid_) ++t;
+    return t;
   }
 
   void note_attempt(int victim) {
@@ -589,26 +650,61 @@ class WorkerCore {
   // an already-scanned one is a termination-mode sweep, and every such
   // sweep increments steal_epoch *before* it can move work. Hence "epoch
   // stable across a scan that saw every thread idle" proves no work existed
-  // during the scan. Each engine's terminate() builds its exit rule on it.
+  // during the scan, and a worker exits on the first such scan. A worker
+  // exiting on a stale verdict loses nothing — the work it missed is still
+  // held by a survivor, who finishes it before the team join.
 
-  /// Cancellation point of a termination loop (with deadline check — idle
-  /// scans are exactly where an overdue run spins): leave as if terminated;
-  /// peers observe us idle and exit through their own polls or a verdict.
-  bool cancelled_while_idle() {
-    if (!core_.ctx.poll_cancel()) return false;
-    frontier_.publish(kInfPriority);
-    obs::trace_end(core_.ctx.trace, tid_, EK::kTerminationScan, 1);
-    return true;
-  }
+  /// Called with no local work anywhere. Returns true when the whole
+  /// computation is finished (or cancelled).
+  bool terminate() {
+    bool sweep = true;  // sweep on entry; afterwards only when work is seen
+    obs::trace_begin(core_.ctx.trace, tid_, EK::kTerminationScan);
+    for (;;) {
+      // Cancellation point (with deadline check — idle scans are exactly
+      // where an overdue run spins): leave as if terminated; peers observe
+      // us idle and exit through their own polls or a verdict.
+      if (core_.ctx.poll_cancel()) {
+        frontier_.publish(kInfPriority);
+        obs::trace_end(core_.ctx.trace, tid_, EK::kTerminationScan, 1);
+        return true;
+      }
+      if (sweep) {
+        // acq_rel: the epoch bump orders this sweep's steals between the
+        // double-scan's acquire reads (scan_board), invalidating any scan
+        // that it raced with.
+        core_.steal_epoch.fetch_add(1, std::memory_order_acq_rel);
+        frontier_.publish(kStealingPriority);
+        if (try_steal_and_process(kInfPriority)) {
+          obs::trace_end(core_.ctx.trace, tid_, EK::kTerminationScan, 0);
+          return false;
+        }
+        frontier_.publish(kInfPriority);
+      }
 
-  /// Enters a termination-mode sweep: everything it may move (steals, and
-  /// the partitioned engine's inbound drain) happens after this.
-  void begin_termination_sweep() {
-    // acq_rel: the epoch bump orders this sweep's work movement between the
-    // double-scan's acquire reads (scan_board), invalidating any scan that
-    // it raced with.
-    core_.steal_epoch.fetch_add(1, std::memory_order_acq_rel);
-    frontier_.publish(kStealingPriority);
+      my_.inc(CId::kTerminationScans);
+      Timer idle_timer;
+      const ScanVerdict verdict = scan_board();
+      if (verdict.quiet) {
+        // Chaos: a spurious wakeup distrusts the double-scan verdict and
+        // forces one more sweep; termination must still be reached once the
+        // injected doubt stops firing.
+        if (WASP_CHAOS_FAIL(chaos::Point::kSpuriousWakeup)) {
+          sweep = true;
+          record_idle(idle_timer.nanoseconds());
+          continue;
+        }
+        record_idle(idle_timer.nanoseconds());
+        obs::trace_end(core_.ctx.trace, tid_, EK::kTerminationScan, 1);
+        if (core_.ctx.observer != nullptr)
+          core_.ctx.observer->on_termination(tid_);
+        return true;
+      }
+      // Re-sweep only when a thread holds real-priority work; if only
+      // thieves remain, stay idle and let the epoch settle.
+      sweep = verdict.someone_working;
+      std::this_thread::yield();
+      record_idle(idle_timer.nanoseconds());
+    }
   }
 
   struct ScanVerdict {
@@ -616,16 +712,12 @@ class WorkerCore {
     bool someone_working;  ///< some slot holds a real level
   };
 
-  /// One double scan of the curr board. `inside` runs between the opening
-  /// epoch read and the board reads (the partitioned engine's in-flight
-  /// read must sit exactly there).
-  template <typename Inside>
-  ScanVerdict scan_board(Inside&& inside) {
+  /// One double scan of the curr board.
+  ScanVerdict scan_board() {
     // Acquire epoch reads bracket the scan: any sweep that bumps the epoch
     // between them invalidates this scan (§4.3 double-scan).
     const std::uint64_t epoch_before =
         core_.steal_epoch.load(std::memory_order_acquire);
-    inside();
     bool all_idle = true;
     bool someone_working = false;
     for (int t = 0; t < core_.curr.size(); ++t) {
@@ -639,25 +731,16 @@ class WorkerCore {
     return {all_idle && epoch_before == epoch_after, someone_working};
   }
 
-  /// The termination verdict is in: close the scan span, tell the observer.
-  void terminated() {
-    obs::trace_end(core_.ctx.trace, tid_, EK::kTerminationScan, 1);
-    if (core_.ctx.observer != nullptr) core_.ctx.observer->on_termination(tid_);
-  }
-
   void record_idle(std::uint64_t ns) {
     my_.inc(CId::kIdleNs, ns);
     my_.observe(obs::HistId::kIdleScanNs, ns);
   }
 
-  Shared<ChunkT>& core_;
+  Shared<ChunkT>& core_;  ///< the run-wide state
   const int tid_;
   obs::MetricsShard& my_;
   Frontier<ChunkT> frontier_;
   Xoshiro256 rng_;
-  const std::span<const int> members_;
-  const VictimTiers& tiers_;
-  const int me_;
   std::uint64_t progress_ = 0;
   const std::uint32_t lookahead_;  ///< SsspOptions::prefetch_lookahead
 };

@@ -14,8 +14,6 @@ const char* point_name(Point p) {
     case Point::kYieldAfterCas: return "yield-after-cas";
     case Point::kChunkAllocFail: return "chunk-alloc-fail";
     case Point::kSpuriousWakeup: return "spurious-wakeup";
-    case Point::kRemoteFlushDelay: return "remote-flush-delay";
-    case Point::kRemoteDrainDelay: return "remote-drain-delay";
   }
   return "unknown";
 }
@@ -52,10 +50,6 @@ Policy Policy::termination_fuzz() {
   p.rate[static_cast<std::size_t>(Point::kDelayCurrPublish)] = 8192;
   p.rate[static_cast<std::size_t>(Point::kSpuriousWakeup)] = 16384;
   p.rate[static_cast<std::size_t>(Point::kStealFail)] = 4096;
-  // Remote-queue delays stretch the publish->drain window the partitioned
-  // termination extension must cover (in-flight accounting, docs/NUMA.md).
-  p.rate[static_cast<std::size_t>(Point::kRemoteFlushDelay)] = 8192;
-  p.rate[static_cast<std::size_t>(Point::kRemoteDrainDelay)] = 8192;
   return p;
 }
 

@@ -44,10 +44,8 @@ enum class Point : std::uint8_t {
   kYieldAfterCas,      ///< yield immediately after a CAS (won or lost)
   kChunkAllocFail,     ///< chunk-pool freelist treated as exhausted
   kSpuriousWakeup,     ///< termination scan pretends it saw work
-  kRemoteFlushDelay,   ///< yield before publishing a remote relaxation batch
-  kRemoteDrainDelay,   ///< yield before draining a fragment's remote queue
 };
-inline constexpr std::size_t kNumPoints = 8;
+inline constexpr std::size_t kNumPoints = 6;
 
 /// Stable short name of a point ("steal-fail", "delay-curr-publish", ...).
 const char* point_name(Point p);

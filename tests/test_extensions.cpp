@@ -221,10 +221,10 @@ TEST(SmqDijkstra, GridAndStarStayCorrect) {
 
 TEST(SmqDijkstra, ParsesAlgorithmName) {
   EXPECT_EQ(parse_algorithm("smq"), Algorithm::kSmqDijkstra);
-  EXPECT_STREQ(algorithm_name(Algorithm::kSmqDijkstra), "smq");
+  EXPECT_STREQ(to_string(Algorithm::kSmqDijkstra), "smq");
 }
 
-// --- contraction + compressed interplay -------------------------------------
+// --- contraction -------------------------------------------------------------
 
 TEST(Contraction, GridHasNoPendantsButStaysExact) {
   // Grids are their own 2-core: contraction must be a no-op and still exact.
@@ -286,7 +286,7 @@ TEST(Tuning, SuggestedDeltasProduceCorrectRuns) {
     options.algo = algo;
     options.threads = 4;
     options.delta = suggest_delta(algo, g);
-    EXPECT_EQ(run_sssp(g, src, options).dist, expected) << algorithm_name(algo);
+    EXPECT_EQ(run_sssp(g, src, options).dist, expected) << to_string(algo);
   }
 }
 

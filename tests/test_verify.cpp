@@ -1583,8 +1583,7 @@ struct E2eOutcome {
 /// One seeded end-to-end schedule of the real solver. The seed fans out
 /// into the thread count (2-4), the graph, the steal policy, the session's
 /// stale-value streams, and every scheduling decision.
-E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
-                        bool partitioned = false) {
+E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed) {
   const int threads = 2 + static_cast<int>(seed % 3);
   const auto& cases = e2e_cases();
   const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
@@ -1599,17 +1598,14 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
   options.wasp.chunk_capacity = 16;  // small chunks: more deque traffic
   options.wasp.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
                                             : StealPolicy::kTwoChoice;
-  if (partitioned) {
-    // Partitioned engine under the serialized scheduler: a multi-node
-    // synthetic topology so fragments and remote queues actually form, and
-    // a tiny flush threshold so the publish/grab/in-flight protocol of
-    // remote_queue.hpp fires every few relaxations (its memory-order
-    // mutants must die here).
+  if (seed % 4 >= 2) {
+    // Two single-node sockets: with 3-4 threads on a host of 3+ CPUs the
+    // workers span both nodes, so the Algorithm-2 sweep walks a local and a
+    // remote tier and steals count as local or remote. The bit is
+    // independent of the steal-policy bit, so both policies run on both
+    // topologies.
     options.wasp.topology =
         std::make_shared<NumaTopology>(NumaTopology::synthetic(2, 1, 2));
-    options.wasp.partition.enabled = true;
-    options.wasp.partition.num_fragments = 2 + static_cast<int>(seed % 2);
-    options.wasp.partition.flush_threshold = 1 + (seed % 4);
   }
 
   E2eOutcome out;
@@ -1635,14 +1631,6 @@ TEST(SchedulerHarness, WaspEndToEndSchedulesMatchDijkstra) {
   const SeedRange seeds = harness_seeds(kE2eSeeds);
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
     e2e_one_seed(Algorithm::kWasp, seed);
-    if (::testing::Test::HasFailure()) return;
-  }
-}
-
-TEST(SchedulerHarness, PartitionedWaspEndToEndSchedulesMatchDijkstra) {
-  const SeedRange seeds = harness_seeds(kE2eSeeds / 2);
-  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
-    e2e_one_seed(Algorithm::kWasp, seed, /*partitioned=*/true);
     if (::testing::Test::HasFailure()) return;
   }
 }

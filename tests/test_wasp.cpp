@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "concurrent/chase_lev_deque.hpp"
 #include "graph/algorithms.hpp"
@@ -180,6 +181,26 @@ TEST(WaspNuma, SyntheticTwoSocketTopology) {
   options.wasp.topology = std::make_shared<NumaTopology>(
       NumaTopology::synthetic(2, 2, 2));  // 8 CPUs = 8 threads, 4 nodes
   expect_correct(rmat_fixture(), options, "rmat on synthetic NUMA");
+
+  // Every victim-tier shape at 8 threads, on a high-diameter, a skewed and
+  // a hub graph: one tier, two nodes of one socket, two sockets of two
+  // nodes, four sockets.
+  static const Fixture grid =
+      make_fixture(gen::grid(40, 40, WeightScheme::gap(), 22));
+  static const Fixture star =
+      make_fixture(gen::star_hub(4000, 0.93, 0.01, WeightScheme::gap(), 21));
+  const std::pair<const char*, const Fixture*> graphs[] = {
+      {"grid", &grid}, {"rmat", &rmat_fixture()}, {"star", &star}};
+  const NumaTopology topologies[] = {
+      NumaTopology::flat(8), NumaTopology::synthetic(1, 2, 4),
+      NumaTopology::synthetic(2, 2, 2), NumaTopology::synthetic(4, 1, 2)};
+  options.delta = 8;
+  for (const auto& [name, f] : graphs) {
+    for (const NumaTopology& topo : topologies) {
+      options.wasp.topology = std::make_shared<NumaTopology>(topo);
+      expect_correct(*f, options, std::string(name) + " on " + topo.describe());
+    }
+  }
 }
 
 TEST(WaspNuma, MoreThreadsThanSyntheticCpus) {
@@ -241,7 +262,7 @@ TEST(WaspStress, LargeWeightOutlierGrowsBucketsGeometrically) {
   expect_correct(f, options, "weight outlier delta=1");
 }
 
-// --- the shared frontier (sssp/wasp_core.hpp) -----------------------------
+// --- the frontier (sssp/wasp_core.hpp) ------------------------------------
 
 TEST(WaspFrontier, VertexPushedAfterRangeChunkKeepsItsOwnRange) {
   // A neighborhood-decomposition range chunk can become the head of a

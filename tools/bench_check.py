@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a machine-readable bench report (BENCH_tput.json,
-BENCH_qps.json, BENCH_dyn.json, or BENCH_numa.json), dispatching on the
-report's "bench" field.
+BENCH_qps.json, or BENCH_dyn.json), dispatching on the report's "bench"
+field.
 
 tput_queries checks (stdlib only, exit 1 on the first violation):
   * the top-level schema: schema_version == 1, bench == "tput_queries",
@@ -34,18 +34,6 @@ dyn_updates checks:
     correctness anchor exact == true (repaired distances bit-identical to
     a from-scratch solve after every batch — checked at any scale);
   * without --schema-only, the repair speedup must reach --min-gain.
-
-numa_fragments checks:
-  * the top-level schema: bench == "numa_fragments", threads positive, a
-    non-empty results list;
-  * per row: positive seconds/relaxations, remote_share in [0, 1], and the
-    correctness anchor exact == true (partitioned distances bit-identical
-    to the flat engine — checked at any scale);
-  * remote-traffic accounting: flat and single-fragment rows carry exactly
-    zero remote relaxations/batches; multi-fragment rows never count more
-    remote relaxations than relaxations, nor more batches than records;
-  * without --schema-only, the single-fragment parity run must stay within
-    3x of the flat engine's wall time.
 
 With --schema-only, the timing-relation checks (steady <= first * tolerance
 and --min-gain) are skipped for tput and dyn reports: schema, key-set,
@@ -89,15 +77,6 @@ QPS_OUTCOMES = (
     "served", "served_stale", "cancelled", "deadline_expired", "shed",
     "failed",
 )
-
-NUMA_TOP_KEYS = {
-    "schema_version", "bench", "threads", "scale", "results",
-}
-NUMA_ROW_KEYS = {
-    "graph", "topology", "fragments", "seconds", "edges_per_sec",
-    "relaxations", "remote_relaxations", "remote_batches", "remote_share",
-    "exact",
-}
 
 DYN_TOP_KEYS = {
     "schema_version", "bench", "threads", "batches", "ops_per_batch",
@@ -278,73 +257,6 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
         fail(f"no rows matched graph filter {sorted(graph_filter)}")
 
 
-def check_numa_report(report, graph_filter, schema_only):
-    missing = NUMA_TOP_KEYS - report.keys()
-    if missing:
-        fail(f"missing top-level keys: {sorted(missing)}")
-    if report["threads"] < 1:
-        fail("threads must be >= 1")
-    rows = report["results"]
-    if not rows:
-        fail("empty results list")
-
-    # Bookkeeping invariants are exact at any scale; only the flat-vs-1node
-    # parity *timing* check is skipped under --schema-only.
-    flat_seconds = {}
-    checked = 0
-    for row in rows:
-        missing = NUMA_ROW_KEYS - row.keys()
-        if missing:
-            fail(f"row {row.get('graph', '?')}: missing keys {sorted(missing)}")
-        name = f"{row['graph']}/{row['topology']}"
-        if graph_filter and row["graph"] not in graph_filter:
-            continue
-        checked += 1
-        if row["seconds"] <= 0 or row["relaxations"] < 1:
-            fail(f"{name}: seconds and relaxations must be positive")
-        # The correctness anchor holds at any scale: partitioned distances
-        # must be bit-identical to the flat engine's.
-        if row["exact"] is not True:
-            fail(f"{name}: partitioned distances diverged from flat")
-        if row["fragments"] <= 1:
-            # Flat engine or single-fragment parity run: nothing crosses a
-            # fragment boundary, so remote traffic must be exactly zero.
-            if row["remote_relaxations"] != 0 or row["remote_batches"] != 0:
-                fail(f"{name}: single-fragment run produced remote traffic "
-                     f"({row['remote_relaxations']} relaxations, "
-                     f"{row['remote_batches']} batches)")
-        else:
-            if row["remote_relaxations"] > row["relaxations"]:
-                fail(f"{name}: remote_relaxations exceed total relaxations")
-            if row["remote_relaxations"] > 0 and row["remote_batches"] < 1:
-                fail(f"{name}: remote records moved without a batch")
-            if row["remote_batches"] > row["remote_relaxations"]:
-                fail(f"{name}: more batches than records (empty publishes)")
-        if not 0 <= row["remote_share"] <= 1:
-            fail(f"{name}: remote_share {row['remote_share']} outside [0, 1]")
-        if row["topology"] == "flat":
-            flat_seconds[row["graph"]] = row["seconds"]
-        if schema_only or row["topology"] != "1node":
-            print(f"bench_check: ok {name}: {row['seconds'] * 1e3:.3f}ms, "
-                  f"remote {row['remote_relaxations']} in "
-                  f"{row['remote_batches']} batches "
-                  f"(share {row['remote_share']:.3f})")
-            continue
-        # Parity timing: partitioning into one fragment adds bookkeeping but
-        # no remote traffic, so it must stay within a small factor of flat
-        # (generous: tiny runs are noisy; real regressions are order-of-
-        # magnitude protocol bugs like a spinning termination scan).
-        base = flat_seconds.get(row["graph"])
-        if base and row["seconds"] > base * 3.0:
-            fail(f"{name}: single-fragment run {row['seconds'] * 1e3:.3f}ms "
-                 f"is more than 3x flat {base * 1e3:.3f}ms")
-        print(f"bench_check: ok {name}: {row['seconds'] * 1e3:.3f}ms "
-              f"(flat {base * 1e3:.3f}ms)" if base else
-              f"bench_check: ok {name}: {row['seconds'] * 1e3:.3f}ms")
-    if checked == 0:
-        fail(f"no rows matched graph filter {sorted(graph_filter)}")
-
-
 def check_report(report, min_gain, graph_filter, tolerance, schema_only):
     if report.get("schema_version") != 1:
         fail(f"unsupported schema_version {report.get('schema_version')}")
@@ -358,8 +270,6 @@ def check_report(report, min_gain, graph_filter, tolerance, schema_only):
         check_qps_report(report)
     elif bench == "dyn_updates":
         check_dyn_report(report, min_gain, graph_filter, schema_only)
-    elif bench == "numa_fragments":
-        check_numa_report(report, graph_filter, schema_only)
     else:
         fail(f"unexpected bench name {bench!r}")
 

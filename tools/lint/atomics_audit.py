@@ -23,10 +23,13 @@ Subcommands
                                 synchronization concept — the protocol is
                                 documented where it is implemented.
               cancel-poll       every parallel worker loop in src/sssp/ (a
-                                .cpp that calls team.run, drives the engine
-                                via wasp_sssp_seeded like the incremental
-                                repair loop, or drains a remote-queue channel
-                                via grab_all) must poll the CancelToken
+                                .cpp that calls team.run, or drives the
+                                engine via wasp_sssp_seeded like the
+                                incremental repair loop) must poll the
+                                CancelToken. A .cpp whose worker loop lives
+                                in a header beside it names that header with
+                                `// lint:worker-loop-in(<file>)`, and the
+                                polls are then required there
                                 (stop_requested / poll_cancel / poll); an
                                 unpollable algorithm wedges the service
                                 layer's deadline machinery.
@@ -96,21 +99,17 @@ MUTATE_SCOPE = [
     "src/concurrent/chase_lev_deque.hpp",
     "src/concurrent/stealing_multiqueue.hpp",
     "src/concurrent/spinlock.hpp",
-    "src/concurrent/remote_queue.hpp",
     "src/sssp/curr_board.hpp",
     "src/sssp/wasp_core.hpp",
     "src/sssp/wasp.cpp",
-    "src/sssp/wasp_partitioned.cpp",
 ]
 
 ABBREV = {
     "chase_lev_deque.hpp": "CLD",
     "stealing_multiqueue.hpp": "SMQ",
     "spinlock.hpp": "SL",
-    "remote_queue.hpp": "RQ",
     "curr_board.hpp": "CURR",
     "wasp_core.hpp": "WCORE",
-    "wasp_partitioned.cpp": "WSPP",
     "multiqueue.hpp": "MQH",
     "multiqueue.cpp": "MQ",
     "chunk.hpp": "CHK",
@@ -138,8 +137,6 @@ NON_ATOMIC_RECEIVERS = [
     re.compile(r"dist\s*$"),       # AtomicDistances::load(VertexId)
     re.compile(r"\.dist\s*$"),
     re.compile(r"distances\s*$"),
-    re.compile(r"dist_\s*$"),      # AtomicDistances member (partitioned worker)
-    re.compile(r"shard\s*$"),      # per-fragment AtomicDistances ref
 ]
 
 
@@ -231,6 +228,8 @@ RAW_ATOMIC_RE = re.compile(
     r"\bstd::(atomic\s*<|atomic_flag\b|atomic_ref\s*<|atomic_thread_fence\b)")
 
 ALLOW_PRAGMA_RE = re.compile(r"lint:allow\(raw-atomic\):\s*\S")
+WORKER_LOOP_PRAGMA_RE = re.compile(r"lint:worker-loop-in\(([^)\s]+)\)")
+POLL_CALLS = ("stop_requested(", "poll_cancel(", "->poll()")
 
 # What counts as an "ordering comment": it names an order or a
 # synchronization concept, not just any prose.
@@ -312,12 +311,10 @@ def has_order_comment(lines, lineno):
 
 
 def is_sssp_worker(rel, text):
-    """A parallel-algorithm translation unit: launches a worker team, drives
-    the engine over warm state (the incremental repair loop), or drains a
-    RemoteRelayNetwork channel (the partitioned engine's inbound loop)."""
+    """A parallel-algorithm translation unit: launches a worker team or
+    drives the engine over warm state (the incremental repair loop)."""
     return rel.startswith("src/sssp/") and rel.endswith(".cpp") \
-        and ("team.run(" in text or "wasp_sssp_seeded(" in text
-             or "grab_all(" in text)
+        and ("team.run(" in text or "wasp_sssp_seeded(" in text)
 
 
 def lint_file(rel, path=None, force_worker=None):
@@ -387,12 +384,22 @@ def lint_file(rel, path=None, force_worker=None):
 
     worker = force_worker if force_worker is not None \
         else is_sssp_worker(rel, text)
-    if worker and "stop_requested(" not in text \
-            and "poll_cancel(" not in text and "->poll()" not in text:
-        findings.append((1, "cancel-poll",
-                         "parallel worker loop never polls the CancelToken "
-                         "(stop_requested()/poll_cancel()); deadlines and "
-                         "cancellation cannot reach this algorithm"))
+    if worker:
+        # The loop is where the pragma says (a file beside this one), else
+        # in this file.
+        loops = [path.parent / name
+                 for name in WORKER_LOOP_PRAGMA_RE.findall(raw)]
+        missing = [p.name for p in loops if not p.exists()]
+        loop_text = "".join(strip_comments(p.read_text())
+                            for p in loops if p.exists()) if loops else text
+        if missing:
+            findings.append((1, "cancel-poll",
+                             f"lint:worker-loop-in names missing {missing}"))
+        elif not any(call in loop_text for call in POLL_CALLS):
+            findings.append((1, "cancel-poll",
+                             "parallel worker loop never polls the CancelToken "
+                             "(stop_requested()/poll_cancel()); deadlines and "
+                             "cancellation cannot reach this algorithm"))
 
     return findings, allows
 
@@ -429,6 +436,8 @@ SELFTEST_FIXTURES = {
     "volatile_bad.cpp": ({"bare-volatile"}, None),
     "worker_no_poll_bad.cpp": ({"cancel-poll"}, True),
     "worker_polls_ok.cpp": (set(), True),
+    "worker_loop_in_bad.cpp": ({"cancel-poll"}, True),
+    "worker_loop_in_ok.cpp": (set(), True),
 }
 
 
